@@ -42,7 +42,6 @@ from .sequence_spaces import (
     ConvLemmaReport,
     ConvTrials,
     OrClassReport,
-    OrGrid,
     SandwichReport,
     TwoSidedSeq,
     Weight,

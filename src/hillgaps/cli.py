@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +40,7 @@ from .sequence_spaces import (
 )
 from .spectrum import (
     BandEdges,
+    CrossValidation,
     DiscriminantConfig,
     GalerkinConfig,
     band_edges_discriminant,
@@ -54,21 +53,24 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HILLGAPS_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}, expected LO:HI") from exc
+
+
+def _parse_levels(text: str) -> list[int]:
+    try:
+        levels = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad sweep {text!r}, expected comma-separated integers") from exc
+    if len(levels) < 2:
+        raise InputError("sweep needs at least two levels")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise InputError(f"sweep levels must increase, got {text!r}")
+    return levels
 
 
 def _load_weight_file(path: str) -> dict:
@@ -110,46 +112,26 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _sibling(out: str | None, suffix: str) -> str | None:
-    if out is None:
-        return None
+def _sibling(out: str, suffix: str) -> Path:
     p = Path(out)
-    return str(p.with_name(p.stem + suffix))
+    return p.with_name(p.stem + suffix)
 
 
 def cmd_spectrum(args) -> int:
     q = load_potential(args.potential)
     if args.method == "both":
-        gcfg, dcfg = _configs(args)
-        cap = _thread_cap()
-        if cap >= 2:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                fg = pool.submit(band_edges_galerkin, q, args.nmax, gcfg)
-                fd = pool.submit(band_edges_discriminant, q, args.nmax, dcfg)
-                eg, ed = fg.result(), fd.result()
-        else:
-            eg = band_edges_galerkin(q, args.nmax, gcfg)
-            ed = band_edges_discriminant(q, args.nmax, dcfg)
-        edges_all = np.concatenate([eg.all_edges()[None, :], ed.all_edges()[None, :]])
-        rel = np.abs(edges_all[0] - edges_all[1]) / np.maximum(
-            1.0, np.abs(edges_all).max(axis=0)
-        )
-        max_rel = float(np.max(rel))
+        cv = CrossValidation(_edges_for(q, args, "galerkin"), _edges_for(q, args, "discriminant"))
         if args.format == "json":
-            doc = {
-                "max_rel_discrepancy": max_rel,
-                "galerkin": serialize.edges_to_doc(eg),
-                "discriminant": serialize.edges_to_doc(ed),
-            }
-            _emit(serialize.dump_json(doc), args.out)
+            _emit(serialize.dump_json(serialize.cross_to_doc(cv)), args.out)
+        elif args.out:
+            for edges in (cv.galerkin, cv.discriminant):
+                _sibling(args.out, f".{edges.method}.csv").write_text(
+                    serialize.edges_to_csv(edges), encoding="utf-8"
+                )
         else:
-            if args.out:
-                Path(_sibling(args.out, ".galerkin.csv")).write_text(serialize.edges_to_csv(eg), encoding="utf-8")
-                Path(_sibling(args.out, ".discriminant.csv")).write_text(serialize.edges_to_csv(ed), encoding="utf-8")
-            else:
-                sys.stdout.write(serialize.edges_to_csv(eg))
-                sys.stdout.write(serialize.edges_to_csv(ed))
-        print(f"max relative edge discrepancy: {serialize.fmt(max_rel)}")
+            sys.stdout.write(serialize.edges_to_csv(cv.galerkin))
+            sys.stdout.write(serialize.edges_to_csv(cv.discriminant))
+        print(f"max relative edge discrepancy: {serialize.fmt(cv.max_rel_discrepancy)}", file=sys.stderr)
         return EXIT_OK
     edges = _edges_for(q, args, args.method)
     if args.format == "json":
@@ -218,11 +200,11 @@ def cmd_gaps(args) -> int:
             "rho_summary": rho_summary,
         }
         if args.out:
-            Path(_sibling(args.out, ".summary.json")).write_text(
+            _sibling(args.out, ".summary.json").write_text(
                 serialize.dump_json(summary), encoding="utf-8"
             )
             for i, (name, t) in enumerate(tails.items()):
-                Path(_sibling(args.out, f".tail{i}.csv")).write_text(
+                _sibling(args.out, f".tail{i}.csv").write_text(
                     serialize.tail_to_csv(t), encoding="utf-8"
                 )
         else:
@@ -262,9 +244,10 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
     # two-route equality of the correction
     q0 = q.without_mean()
     kmax_rho = max(1, min(2 * q.cutoff + 2, args.nmax))
+    conv = rho_via_convolution(q0, kmax_rho)
     worst = 0.0
     for n in range(1, kmax_rho + 1):
-        worst = max(worst, abs(rho(q0, n) - rho_via_convolution(q0, n)))
+        worst = max(worst, float(abs(rho(q0, n) - conv[n - 1])))
     record("rho_two_route_equality", worst <= 1e-14, {"max_abs_diff": worst})
 
     # coefficient-norm consistency
@@ -359,15 +342,13 @@ def cmd_verify(args) -> int:
     doc, ok = _verify_battery(q, weights, args)
     _emit(serialize.dump_json(doc), args.out)
     for c in doc["checks"]:
-        print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
+        print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_converge(args) -> int:
     q = load_potential(args.potential)
-    levels = [int(x) for x in args.sweep.split(",")]
-    if len(levels) < 2:
-        raise InputError("sweep needs at least two levels")
+    levels = _parse_levels(args.sweep)
     rows = []
     if args.target == "trunc":
         per_level = []
@@ -399,16 +380,8 @@ def cmd_converge(args) -> int:
     if args.format == "json":
         _emit(serialize.dump_json(doc), args.out)
     else:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
         keys = sorted({k for r in rows for k in r})
-        wr = _csv.writer(buf, lineterminator="\n")
-        wr.writerow(keys)
-        for r in rows:
-            wr.writerow([serialize.fmt(r.get(k, "")) for k in keys])
-        _emit(buf.getvalue(), args.out)
+        _emit(serialize.to_csv(keys, [[r.get(k, "") for k in keys] for r in rows]), args.out)
     return EXIT_OK
 
 

@@ -11,9 +11,8 @@ plus plateau and slope reports.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,15 +65,17 @@ def rho(q: Potential, n: int) -> complex:
     return acc / (4.0 * math.pi * math.pi)
 
 
-def rho_via_convolution(q: Potential, n: int) -> complex:
+def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
     """The same correction through the convolution of divided coefficients.
 
     With a(k) = c(k)/k (and a(0) = 0) the correction equals (a*a)(n) up
     to the 1/(4 pi^2) factor; the excluded indices of the direct sum are
-    the terms that a(0) = 0 kills.  Requires a mean-zero potential,
-    matching the normalization that makes a(0) = 0 the honest value.
+    the terms that a(0) = 0 kills.  One convolution serves every index:
+    the result holds rho(n) for n = 1..n_max.  Requires a mean-zero
+    potential, matching the normalization that makes a(0) = 0 the honest
+    value.
     """
-    if n < 1:
+    if n_max < 1:
         raise InputError("rho is defined for n >= 1")
     if q.mean != 0.0:
         raise InputError("rho_via_convolution requires a mean-zero potential")
@@ -83,7 +84,8 @@ def rho_via_convolution(q: Potential, n: int) -> complex:
         vals[k] = v / k
         vals[-k] = v.conjugate() / (-k)
     divided = TwoSidedSeq.from_dict(vals, support=q.cutoff)
-    return convolve(divided, divided).value(n) / (4.0 * math.pi * math.pi)
+    square = convolve(divided, divided)
+    return np.array([square.value(n) / (4.0 * math.pi * math.pi) for n in range(1, n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,7 @@ class GapReport:
 
     Residual columns are stored exactly as computed from the defining
     formulas, so they recompute bit-identically from (gamma, two_qhat,
-    rho).  ``resid_unreduced`` logs the min over signs of
-    |gamma +- 2 sqrt(cc(-n) cc(n))| with cc = coefficient + correction; for
-    real potentials it should coincide with |resid_corrected| and is kept
-    for comparison, never asserted.
+    rho).
     """
 
     n: np.ndarray
@@ -104,11 +103,8 @@ class GapReport:
     rho: np.ndarray  # complex
     resid_plain: np.ndarray
     resid_corrected: np.ndarray
-    resid_unreduced: np.ndarray
     clamped: np.ndarray
     method: str
-    tails: dict = field(default_factory=dict)
-    slopes: dict = field(default_factory=dict)
 
     @property
     def n_max(self) -> int:
@@ -118,18 +114,12 @@ class GapReport:
 def residuals(q: Potential, edges: BandEdges) -> GapReport:
     """Populate the gap report for a potential and its computed edges."""
     gamma, clamped = gaps(edges)
-    n_max = edges.n_max
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, edges.n_max + 1)
     qn = np.array([q.coefficient(int(n)) for n in ns])
     rhos = np.array([rho(q, int(n)) for n in ns])
     two_qhat = 2.0 * np.abs(qn)
     resid_plain = gamma - two_qhat
     resid_corrected = gamma - 2.0 * np.abs(qn + rhos)
-    unreduced = np.empty(n_max)
-    for i, n in enumerate(ns):
-        cc_minus = q.coefficient(-int(n)) + rhos[i].conjugate()
-        root = cmath.sqrt(cc_minus * (qn[i] + rhos[i]))
-        unreduced[i] = min(abs(gamma[i] + 2.0 * root), abs(gamma[i] - 2.0 * root))
     return GapReport(
         n=ns,
         gamma=gamma,
@@ -137,7 +127,6 @@ def residuals(q: Potential, edges: BandEdges) -> GapReport:
         rho=rhos,
         resid_plain=resid_plain,
         resid_corrected=resid_corrected,
-        resid_unreduced=unreduced,
         clamped=clamped,
         method=edges.method,
     )
@@ -150,16 +139,11 @@ def residuals(q: Potential, edges: BandEdges) -> GapReport:
 
 @dataclass(frozen=True)
 class TailTable:
-    """Cumulative weighted sums sum_{n<=m} w(n)^2 r(n)^2 with increments.
-
-    ``increment_ratio`` holds consecutive increment quotients (nan where
-    the previous increment vanishes) for plateau detection.
-    """
+    """Cumulative weighted sums sum_{n<=m} w(n)^2 r(n)^2 with increments."""
 
     m: np.ndarray
     partial_sum: np.ndarray
     increment: np.ndarray
-    increment_ratio: np.ndarray
     increments_decreasing_from: int  # first m after which increments never grow (or -1)
 
 
@@ -178,8 +162,6 @@ def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> 
     csum = np.cumsum(terms)
     ms = np.arange(lo, hi + 1)
     inc = terms[lo - 1 : hi]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.concatenate(([np.nan], inc[1:] / inc[:-1]))
     drop_from = -1
     for i in range(inc.size - 1):
         if np.all(np.diff(inc[i:]) <= 0.0):
@@ -189,7 +171,6 @@ def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> 
         m=ms,
         partial_sum=csum[lo - 1 : hi],
         increment=inc,
-        increment_ratio=ratio,
         increments_decreasing_from=drop_from,
     )
 

@@ -254,9 +254,6 @@ class TwoSidedSeq:
     def __call__(self, k: int) -> complex:
         return self.value(k)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def scaled(self, factor: complex) -> "TwoSidedSeq":
         return TwoSidedSeq.from_dict(
             {k: factor * v for k, v in self.entries}, support=self.support
@@ -267,17 +264,6 @@ class TwoSidedSeq:
         for k, v in other.entries:
             out[k] = out.get(k, 0j) + v
         return TwoSidedSeq.from_dict(out, support=max(self.support, other.support))
-
-    def to_dense(self, bound: int | None = None) -> np.ndarray:
-        """Dense complex array over [-bound, bound]."""
-        if bound is None:
-            bound = self.support
-        out = np.zeros(2 * bound + 1, dtype=complex)
-        for k, v in self.entries:
-            if abs(k) > bound:
-                raise InputError(f"entry at k={k} outside dense bound {bound}")
-            out[k + bound] = v
-        return out
 
 
 def weighted_norm(a: TwoSidedSeq, w: Weight) -> float:
@@ -336,12 +322,15 @@ def convolution_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: flo
 
 @dataclass(frozen=True)
 class ConvTrials:
-    """Trial families for the convolution boundedness report."""
+    """Trial sizes and sampling for the convolution boundedness report.
+
+    The trial family follows from the regime: random pairs where the
+    product is bounded, the symmetric indicator where it fails to hold.
+    """
 
     sizes: tuple[int, ...] = (8, 16, 32)
     pairs_per_size: int = 50
     seed: int = 0
-    family: str = "auto"  # auto | random | indicator
 
 
 @dataclass(frozen=True)
@@ -358,7 +347,7 @@ class ConvLemmaReport:
     t: float
     margin: float  # s + r - t
     regime: str  # "bounded" | "fails to hold"
-    family: str
+    family: str  # "random" | "indicator"
     samples: tuple[ConvSizeSample, ...]
     trend_ok: bool
     growth_factor: float  # max ratio at largest size / max ratio at smallest
@@ -389,9 +378,7 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
     bounded = margin > 0.5
     regime = "bounded" if bounded else "fails to hold"
 
-    family = trials.family
-    if family == "auto":
-        family = "random" if bounded else "indicator"
+    family = "random" if bounded else "indicator"
 
     rng = np.random.default_rng(trials.seed)
     samples = []
@@ -426,12 +413,6 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
 
 
 @dataclass(frozen=True)
-class OrGrid:
-    t_step: float = 1.0
-    lambda_count: int = 33
-
-
-@dataclass(frozen=True)
 class OrClassReport:
     passed: bool
     worst_ratio: float  # the sampled ratio farthest from [1/c, c], as max(ratio, 1/ratio)
@@ -443,19 +424,19 @@ class OrClassReport:
     skipped: int  # grid pairs not evaluable (table range)
 
 
-def check_or_class(w: Weight, a: float, c: float, t_max: float, grid: OrGrid = OrGrid()) -> OrClassReport:
+def check_or_class(w: Weight, a: float, c: float, t_max: float) -> OrClassReport:
     """Check the scaling-ratio condition w(lam*t)/w(t) in [1/c, c] on a grid.
 
-    Samples t in [1, t_max] and lam in [1, a]; reports the extremal ratio
-    and where it occurred.  Grid pairs where a table weight cannot be
-    evaluated are skipped and counted.
+    Samples t in [1, t_max] at step 1 and 33 points lam in [1, a];
+    reports the extremal ratio and where it occurred.  Grid pairs where a
+    table weight cannot be evaluated are skipped and counted.
     """
     if a <= 1 or c <= 1:
         raise InputError("scaling check requires a > 1 and c > 1")
-    ts = np.arange(1.0, float(t_max) + 1e-9, grid.t_step)
+    ts = np.arange(1.0, float(t_max) + 1e-9, 1.0)
     if ts.size == 0:
         raise InputError("empty t grid")
-    lams = np.linspace(1.0, a, grid.lambda_count)
+    lams = np.linspace(1.0, a, 33)
     base = w.at_real(ts)
     worst = 1.0
     worst_t = 1.0

@@ -30,47 +30,49 @@ def edges_rows(edges: BandEdges) -> list[list]:
     return rows
 
 
+def to_csv(header: list[str], rows) -> str:
+    """One CSV table: the header, then each row with its cells through fmt."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    for row in rows:
+        wr.writerow([fmt(x) for x in row])
+    return buf.getvalue()
+
+
 EDGE_HEADER = ["n", "parity", "lambda_minus", "lambda_plus", "gap", "method", "n_trunc_or_steps"]
 
 
 def edges_to_csv(edges: BandEdges) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(EDGE_HEADER)
-    for row in edges_rows(edges):
-        wr.writerow([fmt(x) for x in row])
-    return buf.getvalue()
+    return to_csv(EDGE_HEADER, edges_rows(edges))
 
 
 GAP_HEADER = ["n", "gamma", "two_qhat", "rho_re", "rho_im", "resid_plain", "resid_corrected"]
 
 
 def gap_report_to_csv(report: GapReport) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(GAP_HEADER)
-    for i, n in enumerate(report.n):
-        wr.writerow(
+    return to_csv(
+        GAP_HEADER,
+        (
             [
-                fmt(int(n)),
-                fmt(float(report.gamma[i])),
-                fmt(float(report.two_qhat[i])),
-                fmt(float(report.rho[i].real)),
-                fmt(float(report.rho[i].imag)),
-                fmt(float(report.resid_plain[i])),
-                fmt(float(report.resid_corrected[i])),
+                int(n),
+                float(report.gamma[i]),
+                float(report.two_qhat[i]),
+                float(report.rho[i].real),
+                float(report.rho[i].imag),
+                float(report.resid_plain[i]),
+                float(report.resid_corrected[i]),
             ]
-        )
-    return buf.getvalue()
+            for i, n in enumerate(report.n)
+        ),
+    )
 
 
 def tail_to_csv(table: TailTable) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["m", "partial_sum", "increment"])
-    for i, m in enumerate(table.m):
-        wr.writerow([fmt(int(m)), fmt(float(table.partial_sum[i])), fmt(float(table.increment[i]))])
-    return buf.getvalue()
+    return to_csv(
+        ["m", "partial_sum", "increment"],
+        ([int(m), float(table.partial_sum[i]), float(table.increment[i])] for i, m in enumerate(table.m)),
+    )
 
 
 def edges_to_doc(edges: BandEdges) -> dict:
@@ -104,7 +106,6 @@ def gap_report_to_doc(report: GapReport) -> dict:
                 "rho_im": float(report.rho[i].imag),
                 "resid_plain": float(report.resid_plain[i]),
                 "resid_corrected": float(report.resid_corrected[i]),
-                "resid_unreduced": float(report.resid_unreduced[i]),
                 "clamped": bool(report.clamped[i]),
             }
             for i, n in enumerate(report.n)

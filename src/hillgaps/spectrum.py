@@ -23,6 +23,8 @@ EDGE_ATOL = 1e-10
 EDGE_RTOL = 1e-10
 
 _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
+_BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
+_ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 
 
@@ -50,19 +52,13 @@ class GalerkinConfig:
 
 @dataclass(frozen=True)
 class DiscriminantConfig:
-    """Integrator and root-finder knobs for the monodromy-trace solver."""
+    """Integrator step count for the monodromy-trace solver."""
 
     steps: int = 2048
-    bracket_expand: float = 1.6
-    root_tol: float = 1e-12  # relative: refine until width <= root_tol * (1 + |lambda|)
 
     def __post_init__(self):
         if self.steps < 256:
             raise InputError(f"steps={self.steps} below the minimum 256")
-        if self.root_tol <= 0:
-            raise InputError("root tolerance must be positive")
-        if self.bracket_expand <= 1.0:
-            raise InputError("bracket expansion factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,7 @@ def _band_probes(prop: _Propagator, shift: float, n_max: int) -> np.ndarray:
     return probes
 
 
-def _lambda0_left(prop: _Propagator, q: Potential, expand: float) -> float:
+def _lambda0_left(prop: _Propagator, q: Potential) -> float:
     """A point left of the spectrum, where the trace exceeds 2."""
     lo = q.mean - q.l1_bound() - 1.0
     width = 1.0
@@ -323,7 +319,7 @@ def _lambda0_left(prop: _Propagator, q: Potential, expand: float) -> float:
         if float(prop.delta(lo)[0]) > 2.0:
             return lo
         lo -= width
-        width *= expand
+        width *= _BRACKET_EXPAND
     raise BracketError("no left bracket for the lowest edge within the expansion budget")
 
 
@@ -341,7 +337,7 @@ def _parabolic_peak(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(vertex)
 
 
-def _refine_roots(fn, a, fa, b, fb, root_tol):
+def _refine_roots(fn, a, fa, b, fb):
     """Batched bisection then safeguarded secant on sign-changing brackets.
 
     ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
@@ -360,7 +356,7 @@ def _refine_roots(fn, a, fa, b, fb, root_tol):
     fa = np.where(hit, fb, fa)
 
     def widths_ok():
-        return np.all(np.abs(b - a) <= root_tol * (1.0 + np.abs(b)))
+        return np.all(np.abs(b - a) <= _ROOT_TOL * (1.0 + np.abs(b)))
 
     def place(x, fx):
         nonlocal a, b, fa, fb
@@ -418,7 +414,7 @@ def band_edges_discriminant(
     prop = _Propagator(q, cfg.steps)
     shift = q.mean
     probes = _band_probes(prop, shift, n_max)
-    left0 = _lambda0_left(prop, q, cfg.bracket_expand)
+    left0 = _lambda0_left(prop, q)
 
     signs = np.array([1.0 if n % 2 == 0 else -1.0 for n in range(1, n_max + 1)])
 
@@ -532,7 +528,7 @@ def band_edges_discriminant(
             raise BracketError(
                 f"no sign change over [{a1[i]!r}, {b1[i]!r}] for edge slot {slots1[i]}"
             )
-        roots1 = _refine_roots(f1, av, fa, bv, fb, cfg.root_tol)
+        roots1 = _refine_roots(f1, av, fa, bv, fb)
 
     roots2 = np.empty(0)
     if a2:
@@ -552,7 +548,7 @@ def band_edges_discriminant(
             f2 = make_f(s2, extended=True)
             av, bv, fa, fb = av[keep], bv[keep], fa[keep], fb[keep]
         if slots2:
-            roots2 = _refine_roots(f2, av, fa, bv, fb, cfg.root_tol)
+            roots2 = _refine_roots(f2, av, fa, bv, fb)
 
     lam0 = float(roots1[0])
     pairs: list[list[float]] = [[math.nan, math.nan] for _ in range(n_max)]
@@ -583,10 +579,18 @@ def band_edges_discriminant(
 
 @dataclass(frozen=True)
 class CrossValidation:
+    """Band edges of one potential from both routes."""
+
     galerkin: BandEdges
     discriminant: BandEdges
-    max_rel_discrepancy: float
-    per_edge: tuple[float, ...]
+
+    @property
+    def max_rel_discrepancy(self) -> float:
+        """Worst edge disagreement, max of |g - d| / max(1, |g|, |d|)."""
+        ga = self.galerkin.all_edges()
+        da = self.discriminant.all_edges()
+        rel = np.abs(ga - da) / np.maximum(1.0, np.maximum(np.abs(ga), np.abs(da)))
+        return float(np.max(rel))
 
 
 def cross_validate(
@@ -595,15 +599,5 @@ def cross_validate(
     gcfg: GalerkinConfig = GalerkinConfig(),
     dcfg: DiscriminantConfig = DiscriminantConfig(),
 ) -> CrossValidation:
-    """Run both routes and report the worst relative edge discrepancy."""
-    eg = band_edges_galerkin(q, n_max, gcfg)
-    ed = band_edges_discriminant(q, n_max, dcfg)
-    ga = eg.all_edges()
-    da = ed.all_edges()
-    rel = np.abs(ga - da) / np.maximum(1.0, np.maximum(np.abs(ga), np.abs(da)))
-    return CrossValidation(
-        galerkin=eg,
-        discriminant=ed,
-        max_rel_discrepancy=float(np.max(rel)),
-        per_edge=tuple(float(x) for x in rel),
-    )
+    """Run both routes on the same potential."""
+    return CrossValidation(band_edges_galerkin(q, n_max, gcfg), band_edges_discriminant(q, n_max, dcfg))

@@ -47,7 +47,7 @@ def test_spectrum_both_reports_discrepancy(files, capsys):
     out = files["dir"] / "m.csv"
     rc = main(["spectrum", "--potential", files["mathieu01"], "--nmax", "4", "--method", "both", "--out", str(out)])
     assert rc == 0
-    text = capsys.readouterr().out
+    text = capsys.readouterr().err
     assert "max relative edge discrepancy" in text
     val = float(text.rsplit(":", 1)[1])
     assert val < 1e-8
@@ -125,8 +125,15 @@ def test_verify_all_pass(files, capsys):
     names = {c["name"] for c in doc["checks"]}
     assert "membership_triangle_inequality" in names
     assert "conv_failure_witness_growth" in names
-    text = capsys.readouterr().out
+    text = capsys.readouterr().err
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_verify_stdout_is_the_json_document(files, capsys):
+    rc = main(["verify", "--potential", files["zero"], "--nmax", "5", "--weight", files["w1"]])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"]
 
 
 def test_verify_conv_block_reports_failure_regime(files):
@@ -190,16 +197,15 @@ def test_converge_steps_zero_potential_exact(files, tmp_path):
     assert all(c < 1e-12 for c in changes)
 
 
-def test_thread_cap_does_not_change_output(files, monkeypatch):
-    out1 = files["dir"] / "t1.json"
-    out2 = files["dir"] / "t2.json"
-    args = ["spectrum", "--potential", files["mathieu01"], "--nmax", "3", "--method", "both",
-            "--format", "json"]
-    monkeypatch.setenv("HILLGAPS_THREADS", "2")
-    assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.delenv("HILLGAPS_THREADS")
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_converge_rejects_non_integer_level(files):
+    rc = main(["converge", "--potential", files["mathieu01"], "--sweep", "64,x", "--target", "trunc"])
+    assert rc == 2
+
+
+def test_converge_rejects_non_increasing_levels(files):
+    for sweep in ("64,64", "512,256"):
+        rc = main(["converge", "--potential", files["zero"], "--sweep", sweep, "--target", "steps"])
+        assert rc == 2
 
 
 def test_gaps_rejects_method_both(files):

@@ -114,10 +114,6 @@ def test_wronskian_witness_tiny():
 def test_discriminant_config_validation():
     with pytest.raises(InputError):
         DiscriminantConfig(steps=128)
-    with pytest.raises(InputError):
-        DiscriminantConfig(root_tol=0.0)
-    with pytest.raises(InputError):
-        DiscriminantConfig(bracket_expand=1.0)
 
 
 def test_discriminant_fourth_order_convergence():

@@ -129,8 +129,8 @@ def cmd_spectrum(args) -> int:
                     serialize.edges_to_csv(edges), encoding="utf-8"
                 )
         else:
-            sys.stdout.write(serialize.edges_to_csv(cv.galerkin))
-            sys.stdout.write(serialize.edges_to_csv(cv.discriminant))
+            rows = serialize.edges_rows(cv.galerkin) + serialize.edges_rows(cv.discriminant)
+            sys.stdout.write(serialize.to_csv(serialize.EDGE_HEADER, rows))
         print(f"max relative edge discrepancy: {serialize.fmt(cv.max_rel_discrepancy)}", file=sys.stderr)
         return EXIT_OK
     edges = _edges_for(q, args, args.method)
@@ -297,7 +297,7 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
             "upper_slope": r.upper_slope,
             "passed": r.passed,
         }
-        for w, r in ((w, check_sandwich(w, args.sandwich_s, 2000)) for w in weights)
+        for w, r in ((w, check_sandwich(w, args.sandwich_s, int(min(2000, w.max_index)))) for w in weights)
     ]
     orc = []
     for w in weights:

@@ -253,12 +253,15 @@ class MembershipReport:
     cumulative_ratio: np.ndarray  # per m in range, ratio of partial norms
 
 
-def _partial_norm(vals: np.ndarray, w: Weight, lo: int, hi: int) -> float:
+def _partial_norms(vals: np.ndarray, w: Weight, lo: int, hi: int) -> list[float]:
+    """sqrt(sum_{n=lo}^{m} (w(n) vals(n))^2) for m = lo..hi, one running sum in n order."""
     acc = 0.0
+    out = []
     for n in range(lo, hi + 1):
         wn = float(w(n))
         acc += (wn * vals[n - 1]) ** 2
-    return math.sqrt(acc)
+        out.append(math.sqrt(acc))
+    return out
 
 
 def verify_membership_consistency(
@@ -268,15 +271,13 @@ def verify_membership_consistency(
     lo, hi = n_range
     if not 1 <= lo <= hi <= report.n_max:
         raise InputError(f"n_range {n_range} outside the report range 1..{report.n_max}")
-    gamma_norm = _partial_norm(report.gamma, w, lo, hi)
-    two_qhat_norm = _partial_norm(report.two_qhat, w, lo, hi)
-    resid_norm = _partial_norm(report.resid_plain, w, lo, hi)
+    gamma_partial = _partial_norms(report.gamma, w, lo, hi)
+    two_qhat_partial = _partial_norms(report.two_qhat, w, lo, hi)
+    gamma_norm = gamma_partial[-1]
+    two_qhat_norm = two_qhat_partial[-1]
+    resid_norm = _partial_norms(report.resid_plain, w, lo, hi)[-1]
     diff = abs(gamma_norm - two_qhat_norm)
-    ratios = []
-    for m in range(lo, hi + 1):
-        gn = _partial_norm(report.gamma, w, lo, m)
-        qn = _partial_norm(report.two_qhat, w, lo, m)
-        ratios.append(gn / qn if qn > 0 else math.inf)
+    ratios = [gn / qn if qn > 0 else math.inf for gn, qn in zip(gamma_partial, two_qhat_partial)]
     return MembershipReport(
         n_lo=lo,
         n_hi=hi,

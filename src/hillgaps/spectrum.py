@@ -26,6 +26,7 @@ _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
 _BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
 _ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
+_BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
 
 
 def _edge_tol(x: float) -> float:
@@ -99,9 +100,13 @@ class BandEdges:
         return np.array(out)
 
     def validate(self) -> None:
-        """Raise InterlacingError unless the edges interlace up to tolerance."""
+        """Raise InterlacingError unless every edge is finite and the edges interlace up to tolerance."""
+        if not math.isfinite(self.lambda0):
+            raise InterlacingError(0, f"non-finite lambda_0 = {self.lambda0!r}")
         prev_hi = self.lambda0
         for n, (lo, hi) in enumerate(self.pairs, start=1):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InterlacingError(n, f"non-finite edge pair ({lo!r}, {hi!r})")
             tol = _edge_tol(max(abs(prev_hi), abs(lo), abs(hi)))
             if lo < prev_hi - tol:
                 raise InterlacingError(n, f"lambda_{n}^- = {lo!r} not above previous edge {prev_hi!r}")
@@ -237,24 +242,33 @@ class _Propagator:
         p = np.zeros((2, lams.size), dtype=dt)
         u[0] = one
         p[1] = one
-        for i in range(steps):
-            w1 = qa[i] - lams
-            w2 = qb[i] - lams
+        # step propagators are built as arrays for a block of steps at a time,
+        # each branch only where it applies, then multiplied in step by step
+        block = max(1, _BLOCK_ELEMS // lams.size)
+        for i0 in range(0, steps, block):
+            w1 = qa[i0 : i0 + block, None] - lams
+            w2 = qb[i0 : i0 + block, None] - lams
             wbar = dt.type(0.5) * (w1 + w2)
             d = comm * (w1 - w2)
             mu2 = d * d + h2 * wbar
             m = np.sqrt(np.abs(mu2))
             pos = mu2 >= 0.0
-            c = np.where(pos, np.cosh(m), np.cos(m))
-            m_safe = np.where(m < tiny, one, m)
-            s = np.where(pos, np.sinh(m_safe), np.sin(m_safe)) / m_safe
-            s = np.where(m < tiny, one + mu2 / dt.type(6.0), s)
+            trig = ~pos
+            small = m < tiny
+            c = np.empty_like(m)
+            c[pos] = np.cosh(m[pos])
+            c[trig] = np.cos(m[trig])
+            m_safe = np.where(small, one, m)
+            s = np.empty_like(m)
+            s[pos] = np.sinh(m_safe[pos])
+            s[trig] = np.sin(m_safe[trig])
+            s /= m_safe
+            s[small] = one + mu2[small] / dt.type(6.0)
             sd = s * d
-            m12 = s * h
-            m21 = s * (h * wbar)
-            un = (c + sd) * u + m12 * p
-            p = m21 * u + (c - sd) * p
-            u = un
+            for m11, m12, m21, m22 in zip(c + sd, s * h, s * (h * wbar), c - sd):
+                un = m11 * u + m12 * p
+                p = m21 * u + m22 * p
+                u = un
         delta = u[0] + p[1]
         wronskian = u[0] * p[1] - p[0] * u[1]
         return delta, wronskian

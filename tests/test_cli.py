@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -53,6 +55,25 @@ def test_spectrum_both_reports_discrepancy(files, capsys):
     assert val < 1e-8
     assert (files["dir"] / "m.galerkin.csv").exists()
     assert (files["dir"] / "m.discriminant.csv").exists()
+
+
+def test_spectrum_both_csv_stdout_is_one_table(files, capsys):
+    rc = main(["spectrum", "--potential", files["mathieu01"], "--nmax", "2", "--method", "both", "--steps", "512"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows].count("n") == 1
+    assert rows[0] == ["n", "parity", "lambda_minus", "lambda_plus", "gap", "method", "n_trunc_or_steps"]
+    assert [r[5] for r in rows[1:]] == ["galerkin"] * 3 + ["discriminant"] * 3
+
+
+def test_spectrum_non_finite_edges_exit_3(files, capsys):
+    huge = files["dir"] / "huge.json"
+    huge.write_text(json.dumps({"mean": 0.0, "coeffs": [{"k": 1, "re": 1e308, "im": 0.0}]}), encoding="utf-8")
+    out = files["dir"] / "huge.csv"
+    rc = main(["spectrum", "--potential", str(huge), "--nmax", "2", "--method", "galerkin", "--out", str(out)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_malformed_json_exit_2(files):
@@ -134,6 +155,18 @@ def test_verify_stdout_is_the_json_document(files, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_passed"]
+
+
+def test_verify_short_table_weight(files):
+    wt = files["dir"] / "wt.json"
+    wt.write_text(json.dumps({"kind": "table", "values": [1, 2, 3, 4, 5, 6, 7, 8]}), encoding="utf-8")
+    out = files["dir"] / "vt.json"
+    rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "3", "--weight", str(wt),
+               "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"]
+    assert doc["reports"]["sandwich"][0]["weight"] == "table(len=8)"
 
 
 def test_verify_conv_block_reports_failure_regime(files):

@@ -254,6 +254,25 @@ def test_membership_ratio_band_power_decay():
     assert np.all(m.cumulative_ratio <= 3.0)
 
 
+def test_membership_norms_match_per_m_sums():
+    # reference: every partial norm summed afresh from n_lo, in n order
+    def partial(vals, w, lo, m):
+        acc = 0.0
+        for n in range(lo, m + 1):
+            acc += (float(w(n)) * vals[n - 1]) ** 2
+        return math.sqrt(acc)
+
+    q = power_decay(2.0, 32)
+    rep = residuals(q, band_edges_galerkin(q, 28))
+    w = example_2_4_weight(1.0)
+    m = verify_membership_consistency(q, w, rep, (8, 28))
+    want = [partial(rep.gamma, w, 8, k) / partial(rep.two_qhat, w, 8, k) for k in range(8, 29)]
+    assert np.array_equal(m.cumulative_ratio, want)
+    assert m.gamma_norm == partial(rep.gamma, w, 8, 28)
+    assert m.two_qhat_norm == partial(rep.two_qhat, w, 8, 28)
+    assert m.resid_plain_norm == partial(rep.resid_plain, w, 8, 28)
+
+
 def test_marchenko_ostrovskii_zero():
     rep = residuals(ZERO, band_edges_galerkin(ZERO, 8))
     mo = verify_marchenko_ostrovskii(ZERO, 2, rep, (1, 8))

@@ -6,6 +6,7 @@ from hillgaps import (
     DiscriminantConfig,
     GalerkinConfig,
     InputError,
+    IntegrationError,
     InterlacingError,
     band_edges_discriminant,
     band_edges_galerkin,
@@ -18,7 +19,7 @@ from hillgaps import (
     random_hs,
     two_harmonic,
 )
-from hillgaps.spectrum import _Propagator
+from hillgaps.spectrum import _BLOCK_ELEMS, _Propagator
 
 ZERO = from_fourier(0.0, [])
 
@@ -111,6 +112,29 @@ def test_wronskian_witness_tiny():
     assert drift < 1e-9
 
 
+def test_step_doubling_then_integration_error():
+    # exp(1000) growth below the spectrum overflows, so the witness never holds
+    prop = _Propagator(ZERO, 256)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError, match="Wronskian"):
+        prop.delta(-1e6)
+    assert prop.steps == 1024
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sweep_batch_invariance(extended):
+    # 1000 steps: blocks of 963 (batch 17) and 17 (batch 924) steps leave a
+    # partial last block; past _BLOCK_ELEMS points each block is one step
+    prop = _Propagator(mathieu(0.5), 1000)
+    probes = np.array([-2.0, 22.0, np.pi**2])  # below the spectrum, in band 1, in gap 1
+    alone = np.concatenate([prop.delta(x, extended=extended) for x in probes])
+    assert alone[0] > 2.0 and abs(alone[1]) < 2.0 and alone[2] < -2.0
+    for size in (17, 924, _BLOCK_ELEMS + 27):
+        batch = np.linspace(-50.0, 2000.0, size)
+        at = [0, size // 2, size - 1]
+        batch[at] = probes
+        assert np.array_equal(prop.delta(batch, extended=extended)[at], alone)
+
+
 def test_discriminant_config_validation():
     with pytest.raises(InputError):
         DiscriminantConfig(steps=128)
@@ -169,6 +193,15 @@ def test_validate_raises_with_offending_index():
     with pytest.raises(InterlacingError) as err:
         bad.validate()
     assert err.value.n == 2
+
+
+def test_validate_rejects_non_finite_edges():
+    nan, inf = float("nan"), float("inf")
+    for lambda0, pairs, n in ((0.0, ((nan, 1.0),), 1), (0.0, ((1.0, inf),), 1), (-inf, ((1.0, 2.0),), 0)):
+        bad = BandEdges(lambda0=lambda0, pairs=pairs, method="synthetic", resolution=0)
+        with pytest.raises(InterlacingError, match="non-finite") as err:
+            bad.validate()
+        assert err.value.n == n
 
 
 def test_negative_gap_rejected():

@@ -105,9 +105,16 @@ def _edges_for(q: Potential, args, method: str) -> BandEdges:
     raise InputError(f"method {method!r} is only available for the spectrum command")
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -125,9 +132,7 @@ def cmd_spectrum(args) -> int:
             _emit(serialize.dump_json(serialize.cross_to_doc(cv)), args.out)
         elif args.out:
             for edges in (cv.galerkin, cv.discriminant):
-                _sibling(args.out, f".{edges.method}.csv").write_text(
-                    serialize.edges_to_csv(edges), encoding="utf-8"
-                )
+                _write(_sibling(args.out, f".{edges.method}.csv"), serialize.edges_to_csv(edges))
         else:
             rows = serialize.edges_rows(cv.galerkin) + serialize.edges_rows(cv.discriminant)
             sys.stdout.write(serialize.to_csv(serialize.EDGE_HEADER, rows))
@@ -200,13 +205,9 @@ def cmd_gaps(args) -> int:
             "rho_summary": rho_summary,
         }
         if args.out:
-            _sibling(args.out, ".summary.json").write_text(
-                serialize.dump_json(summary), encoding="utf-8"
-            )
+            _write(_sibling(args.out, ".summary.json"), serialize.dump_json(summary))
             for i, (name, t) in enumerate(tails.items()):
-                _sibling(args.out, f".tail{i}.csv").write_text(
-                    serialize.tail_to_csv(t), encoding="utf-8"
-                )
+                _write(_sibling(args.out, f".tail{i}.csv"), serialize.tail_to_csv(t))
         else:
             sys.stdout.write(serialize.dump_json(summary))
     return EXIT_OK
@@ -287,18 +288,22 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
 
     # report-only blocks
     bounded_rep = conv_lemma_report(1.0, 1.0, 1.0, ConvTrials(sizes=(8, 16), pairs_per_size=20, seed=args.seed))
-    sandwich = [
-        {
-            "weight": w.describe(),
-            "s": args.sandwich_s,
-            "c_low": r.c_low,
-            "c_high": r.c_high,
-            "lower_slope": r.lower_slope,
-            "upper_slope": r.upper_slope,
-            "passed": r.passed,
-        }
-        for w, r in ((w, check_sandwich(w, args.sandwich_s, int(min(2000, w.max_index)))) for w in weights)
-    ]
+    sandwich = []
+    for w in weights:
+        entry = {"weight": w.describe(), "s": args.sandwich_s}
+        k_max = int(min(2000, w.max_index))
+        if k_max < 2:  # a slope needs two points: skipped, not failed
+            entry.update(passed=None, not_applicable=f"needs k_max >= 2, the weight ends at {k_max}")
+        else:
+            r = check_sandwich(w, args.sandwich_s, k_max)
+            entry.update(
+                c_low=r.c_low,
+                c_high=r.c_high,
+                lower_slope=r.lower_slope,
+                upper_slope=r.upper_slope,
+                passed=r.passed,
+            )
+        sandwich.append(entry)
     orc = []
     for w in weights:
         r = check_or_class(w, args.or_a, args.or_c, min(args.or_tmax, w.max_index))

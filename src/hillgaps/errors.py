@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input coercions that raise them."""
 
 
 class HillgapsError(Exception):
@@ -26,3 +26,23 @@ class IntegrationError(HillgapsError):
 
 class BracketError(HillgapsError):
     """A root bracket could not be established within the search budget."""
+
+
+def as_float(value, what: str) -> float:
+    """``float(value)``; InputError naming ``what`` when value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be a number, got {value!r}") from exc
+
+
+def as_int(value, what: str) -> int:
+    """Value of an int, an integral float or an integer string; InputError otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_float, as_int
 from .sequence_spaces import TwoSidedSeq, Weight, weighted_norm
 
 
@@ -164,10 +164,7 @@ def sample_test_potential(kind: str, **params) -> Potential:
 def potential_from_dict(doc: dict) -> Potential:
     if not isinstance(doc, dict):
         raise InputError("potential document must be a JSON object")
-    try:
-        mean = float(doc.get("mean", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad potential mean: {exc}") from exc
+    mean = as_float(doc.get("mean", 0.0), "potential mean")
     raw = doc.get("coeffs", [])
     if not isinstance(raw, list):
         raise InputError("potential 'coeffs' must be a list")
@@ -175,7 +172,10 @@ def potential_from_dict(doc: dict) -> Potential:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "k" not in item:
             raise InputError(f"coefficient entry {i} must be an object with 'k'")
-        coeffs.append((int(item["k"]), complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))))
+        k = as_int(item["k"], f"coefficient entry {i} 'k'")
+        re = as_float(item.get("re", 0.0), f"coefficient at k={k} 're'")
+        im = as_float(item.get("im", 0.0), f"coefficient at k={k} 'im'")
+        coeffs.append((k, complex(re, im)))
     return from_fourier(mean, coeffs)
 
 

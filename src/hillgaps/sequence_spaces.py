@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_float, as_int
 
 WEIGHT_KINDS = ("power", "log_power", "example_2_4", "table")
 
@@ -26,19 +27,26 @@ SANDWICH_SLOPE_TOL = 0.1
 
 def _iterated_log_floor(exponents: tuple[float, ...]) -> int:
     """Smallest k >= 1 where every iterated-log factor of (1+k) is positive."""
-    if not exponents:
-        return 1
-    for k in range(1, 10**6):
+
+    def positive(k: int) -> bool:
         v = 1.0 + k
-        ok = True
         for _ in exponents:
             v = math.log(v)
             if v <= 0.0:
-                ok = False
-                break
-        if ok:
-            return k
-    raise InputError("log_power weight needs an impractically large positive range")
+                return False
+        return True
+
+    # positivity only switches on as k grows, so bisect for the first k
+    lo, hi = 1, 10**6 - 1
+    if not positive(hi):
+        raise InputError("log_power weight needs an impractically large positive range")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -153,21 +161,24 @@ def make_weight(spec) -> Weight:
     if kind == "table":
         values = spec.get("values")
         if isinstance(values, dict):
-            if 0 in values:
+            items = [(as_int(k, "table weight index"), v) for k, v in values.items()]
+            items.sort(key=lambda kv: kv[0])
+            if any(k == 0 for k, _ in items):
                 warnings.warn("table weight value at k=0 ignored; the origin value is 1")
-            items = sorted((int(k), float(v)) for k, v in values.items() if int(k) != 0)
+                items = [(k, v) for k, v in items if k != 0]
             if not items or [k for k, _ in items] != list(range(1, len(items) + 1)):
                 raise InputError("table weight mapping must cover k = 1..K without holes")
             values = [v for _, v in items]
-        if values is None or len(values) == 0:
+        values = list(values) if isinstance(values, Iterable) else []
+        if not values:
             raise InputError("table weight needs a nonempty 'values' list")
-        vals = [float(v) for v in values]
+        vals = [as_float(v, f"table weight value at k={i}") for i, v in enumerate(values, start=1)]
         for i, v in enumerate(vals, start=1):
             if not math.isfinite(v) or v <= 0.0:
                 raise InputError(f"table weight value at k={i} must be positive, got {v!r}")
         return Weight(kind="table", table=tuple(vals))
 
-    s = float(spec.get("s", 0.0))
+    s = as_float(spec.get("s", 0.0), "weight parameter s")
     if not math.isfinite(s):
         raise InputError("weight parameter s must be finite")
     if kind != "power" and s < 0:
@@ -179,7 +190,8 @@ def make_weight(spec) -> Weight:
         return Weight(kind="example_2_4", s=s)
 
     raw = spec.get("r", ())
-    exps = tuple(float(r) for r in (raw if isinstance(raw, (list, tuple)) else [raw]))
+    raw = raw if isinstance(raw, (list, tuple)) else [raw]
+    exps = tuple(as_float(r, "log_power exponent") for r in raw)
     if any(not math.isfinite(r) for r in exps):
         raise InputError("log_power exponents must be finite")
     return Weight(kind="log_power", s=s, exponents=exps, clamp_from=_iterated_log_floor(exps))

@@ -1,7 +1,9 @@
 """Band edges of -u'' + q u by two independent numerical routes.
 
 Route one truncates the periodic and semiperiodic eigenvalue problems in
-the Fourier basis and diagonalizes the resulting Hermitian matrices.
+a real cos/sin Fourier basis and diagonalizes the resulting real symmetric
+matrices; for an even potential the cos and sin blocks decouple and are
+solved apart.
 Route two integrates the fundamental system across one period with a
 fixed-step fourth-order scheme and locates the band edges as the points
 where the trace of the monodromy matrix equals +2 or -2.  The two routes
@@ -121,12 +123,28 @@ class BandEdges:
 
 
 def galerkin_matrix(q: Potential, parity: str, n_trunc: int) -> np.ndarray:
-    """Truncated operator matrix in the periodic or semiperiodic Fourier basis.
+    """Truncated operator matrix in the real periodic or semiperiodic basis.
 
-    Periodic basis exp(i 2 pi j x), |j| <= n_trunc; semiperiodic basis
-    exp(i pi (2j+1) x), -n_trunc <= j < n_trunc.  In both, entry (j, l)
-    is the free diagonal plus the coefficient c(j - l).  Expects the mean
-    already stripped; the caller adds it back as a spectral shift.
+    A real potential maps real functions to real functions, so the matrix
+    is taken in a real orthonormal basis and comes out real symmetric
+    (``float64``).  Periodic basis: 1, sqrt2 cos(2 pi j x) for j = 1..n_trunc,
+    then sqrt2 sin(2 pi j x) for j = 1..n_trunc.  Semiperiodic basis:
+    sqrt2 cos(pi (2j+1) x), then sqrt2 sin(pi (2j+1) x), for j = 0..n_trunc-1.
+    Both have the dimension of the exponential basis they replace.
+
+    Write pi m_a for the frequency of the a-th cos (or sin) function, so
+    m_a = 2j or 2j+1; with the coefficients c(k) of q, t = (m_a - m_b)/2 and
+    h = (m_a + m_b)/2 the entries are Toeplitz plus Hankel:
+
+    * cos-cos: Re c(t) + Re c(h), plus (pi m_a)^2 on the diagonal;
+    * sin-sin: Re c(t) - Re c(h), plus (pi m_a)^2 on the diagonal;
+    * cos-sin (row a, column b): Im c(t) - Im c(h), and its transpose;
+    * periodic constant row: 0, sqrt2 Re c(j) against the cosines and
+      -sqrt2 Im c(j) against the sines.
+
+    For an even potential (every c(k) real) the cos-sin block is exactly
+    zero.  Expects the mean already stripped; the caller adds it back as a
+    spectral shift.
     """
     if q.mean != 0.0:
         raise InputError("galerkin_matrix expects a mean-zero potential")
@@ -136,28 +154,59 @@ def galerkin_matrix(q: Potential, parity: str, n_trunc: int) -> np.ndarray:
         raise InputError(
             f"n_trunc={n_trunc} below potential cutoff {q.cutoff}: truncation would alias"
         )
-    if parity == "periodic":
-        js = np.arange(-n_trunc, n_trunc + 1)
-        diag = (2.0 * np.pi * js) ** 2
-    else:
-        js = np.arange(-n_trunc, n_trunc)
-        diag = (np.pi * (2.0 * js + 1.0)) ** 2
-    dim = js.size
-    # dense two-sided coefficient lookup over all index differences
-    span = int(js[-1] - js[0])
-    cvals = np.zeros(2 * span + 1, dtype=complex)
+    periodic = parity == "periodic"
+    first = 2 if periodic else 1  # m_a = first + 2a, so t = a - b and h = a + b + first
+    # two-sided Re/Im lookup over every index t and h can take
+    span = first + 2 * n_trunc - 2
+    re = np.zeros(2 * span + 1)
+    im = np.zeros(2 * span + 1)
     for k, v in q.coeffs:
         if k <= span:
-            cvals[span + k] = v
-            cvals[span - k] = v.conjugate()
-    diff = js[:, None] - js[None, :]
-    mat = cvals[diff + span]
-    mat[np.arange(dim), np.arange(dim)] += diag
+            re[span + k] = re[span - k] = v.real
+            im[span + k] = v.imag
+            im[span - k] = -v.imag
+    window = np.lib.stride_tricks.sliding_window_view
+
+    def toeplitz(x):  # view of x[span + a - b]
+        return window(x[span - n_trunc + 1 : span + n_trunc], n_trunc)[:, ::-1]
+
+    def hankel(x):  # view of x[span + a + b + first]
+        return window(x[span + first :], n_trunc)
+
+    off = 1 if periodic else 0
+    nc = off + n_trunc  # constant (periodic) and cosines come first, sines last
+    mat = np.empty((nc + n_trunc, nc + n_trunc))
+    re_t, re_h = toeplitz(re), hankel(re)
+    mat[off:nc, off:nc] = re_t + re_h
+    mat[nc:, nc:] = re_t - re_h
+    mat[off:nc, nc:] = toeplitz(im) - hankel(im)
+    mat[nc:, off:nc] = mat[off:nc, nc:].T
+    if periodic:
+        mat[0, 0] = 0.0
+        mat[0, 1:nc] = math.sqrt(2.0) * re[span + 1 : span + n_trunc + 1]
+        mat[0, nc:] = -math.sqrt(2.0) * im[span + 1 : span + n_trunc + 1]
+        mat[1:, 0] = mat[0, 1:]
+    free = (np.pi * (first + 2 * np.arange(n_trunc))) ** 2
+    idx = np.arange(n_trunc)
+    mat[off + idx, off + idx] += free
+    mat[nc + idx, nc + idx] += free
     return mat
 
 
+def _eigenvalues(mat: np.ndarray, n_sin: int) -> np.ndarray:
+    """Ascending eigenvalues of a Galerkin matrix whose last ``n_sin`` rows are the sines.
+
+    When the cos-sin block is exactly zero (an even potential) the two
+    diagonal blocks are solved apart and their eigenvalues merged.
+    """
+    nc = mat.shape[0] - n_sin
+    if np.any(mat[:nc, nc:]):
+        return np.linalg.eigvalsh(mat)
+    return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
+
+
 def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = GalerkinConfig()) -> BandEdges:
-    """Band edges from Hermitian eigendecompositions of both parity problems.
+    """Band edges from real-symmetric eigensolves of both parity problems.
 
     Sorted periodic eigenvalues mu and semiperiodic eigenvalues nu pair up
     in counting order: lambda_0 = mu_0, lambda_{2m}^-+ = mu_{2m-1}, mu_{2m},
@@ -168,8 +217,8 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
         raise InputError("n_max must be >= 1")
     q0 = q.without_mean()
     n_trunc = cfg.resolve(n_max, q.cutoff)
-    mu = np.linalg.eigvalsh(galerkin_matrix(q0, "periodic", n_trunc)) + q.mean
-    nu = np.linalg.eigvalsh(galerkin_matrix(q0, "semiperiodic", n_trunc)) + q.mean
+    mu = _eigenvalues(galerkin_matrix(q0, "periodic", n_trunc), n_trunc) + q.mean
+    nu = _eigenvalues(galerkin_matrix(q0, "semiperiodic", n_trunc), n_trunc) + q.mean
     pairs = []
     for n in range(1, n_max + 1):
         if n % 2 == 0:

@@ -169,6 +169,50 @@ def test_verify_short_table_weight(files):
     assert doc["reports"]["sandwich"][0]["weight"] == "table(len=8)"
 
 
+def test_verify_length_one_table_weight(files):
+    # a one-entry table has no slope to fit: the sandwich block is skipped, not failed
+    wt = files["dir"] / "wt1.json"
+    wt.write_text(json.dumps({"kind": "table", "values": [2]}), encoding="utf-8")
+    out = files["dir"] / "vt1.json"
+    rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "1", "--weight", str(wt),
+               "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"]
+    (entry,) = doc["reports"]["sandwich"]
+    assert entry["weight"] == "table(len=1)"
+    assert entry["passed"] is None
+    assert "k_max >= 2" in entry["not_applicable"]
+
+
+def test_out_into_missing_directory_exit_2(files, capsys):
+    missing = files["dir"] / "no_such_dir" / "x.csv"
+    for argv in (
+        ["spectrum", "--potential", files["mathieu01"], "--nmax", "2"],
+        ["gaps", "--potential", files["mathieu01"], "--nmax", "2"],
+    ):
+        assert main(argv + ["--out", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("potential", {"coeffs": [{"k": "x"}]}),
+        ("potential", {"coeffs": [{"k": 1, "re": None}]}),
+        ("weight", {"kind": "power", "s": "abc"}),
+    ],
+)
+def test_malformed_values_exit_2(files, capsys, kind, doc):
+    bad = files["dir"] / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    pot = str(bad) if kind == "potential" else files["mathieu01"]
+    argv = ["gaps", "--potential", pot, "--nmax", "2"] + (["--weight", str(bad)] if kind == "weight" else [])
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_verify_conv_block_reports_failure_regime(files):
     out = files["dir"] / "v2.json"
     rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "5", "--weight", files["w1"],

@@ -19,7 +19,7 @@ from hillgaps import (
     random_hs,
     two_harmonic,
 )
-from hillgaps.spectrum import _BLOCK_ELEMS, _Propagator
+from hillgaps.spectrum import _BLOCK_ELEMS, _eigenvalues, _Propagator
 
 ZERO = from_fourier(0.0, [])
 
@@ -28,33 +28,117 @@ ZERO = from_fourier(0.0, [])
 
 
 def test_galerkin_matrix_free_periodic():
+    # basis order: 1, cos 2 pi j x (j = 1, 2), then sin 2 pi j x (j = 1, 2)
     m = galerkin_matrix(ZERO, "periodic", 2)
-    want = np.diag([(2 * np.pi * j) ** 2 for j in (-2, -1, 0, 1, 2)])
+    assert m.dtype == np.float64
+    want = np.diag([0.0] + 2 * [(2 * np.pi * j) ** 2 for j in (1, 2)])
     assert np.array_equal(m, want)
 
 
 def test_galerkin_matrix_free_semiperiodic():
-    m = galerkin_matrix(ZERO, "semiperiodic", 1)
-    want = np.diag([(np.pi * (2 * j + 1)) ** 2 for j in (-1, 0)])
+    # basis order: cos pi (2j+1) x (j = 0, 1), then sin pi (2j+1) x (j = 0, 1)
+    m = galerkin_matrix(ZERO, "semiperiodic", 2)
+    assert m.dtype == np.float64
+    want = np.diag(2 * [(np.pi * (2 * j + 1)) ** 2 for j in (0, 1)])
     assert np.array_equal(m, want)
 
 
 def test_galerkin_matrix_mathieu_band_structure():
-    q = mathieu(0.7)
-    m = galerkin_matrix(q, "periodic", 4)
+    # q = 2c cos 2 pi x: neighbours couple by c inside the cos and sin blocks;
+    # the constant couples to cos 2 pi x by sqrt2 c, and the semiperiodic
+    # Hankel term splits the lowest pair by +-c
+    c = 0.7
+    n = 4
+    m = galerkin_matrix(mathieu(c), "periodic", n)
     off = m - np.diag(np.diag(m))
-    js = np.arange(-4, 5)
-    for a in range(9):
-        for b in range(9):
-            want = 0.7 if abs(js[a] - js[b]) == 1 else 0.0
-            assert off[a, b] == want
+    want = np.zeros((2 * n + 1, 2 * n + 1))
+    for j in range(1, n):
+        for block in (0, n):
+            want[block + j, block + j + 1] = want[block + j + 1, block + j] = c
+    want[0, 1] = want[1, 0] = np.sqrt(2.0) * c
+    assert np.array_equal(off, want)
+
+    m = galerkin_matrix(mathieu(c), "semiperiodic", n)
+    want = np.diag(2 * [(np.pi * (2 * j + 1)) ** 2 for j in range(n)])
+    for j in range(n - 1):
+        for block in (0, n):
+            want[block + j, block + j + 1] = want[block + j + 1, block + j] = c
+    want[0, 0] += c
+    want[n, n] -= c
+    assert np.array_equal(m, want)
+
+
+def _toeplitz_plus_hankel(q, parity, n_trunc):
+    """Entry-by-entry reference for the real-basis matrix, from q.coefficient."""
+    periodic = parity == "periodic"
+    ms = [2 * j for j in range(1, n_trunc + 1)] if periodic else [2 * j + 1 for j in range(n_trunc)]
+    off = 1 if periodic else 0
+    nc = off + n_trunc
+    want = np.zeros((nc + n_trunc, nc + n_trunc))
+    for a, ma in enumerate(ms):
+        for b, mb in enumerate(ms):
+            ct = q.coefficient((ma - mb) // 2)
+            ch = q.coefficient((ma + mb) // 2)
+            free = (np.pi * ma) ** 2 if a == b else 0.0
+            want[off + a, off + b] = ct.real + ch.real + free
+            want[nc + a, nc + b] = ct.real - ch.real + free
+            want[off + a, nc + b] = ct.imag - ch.imag
+            want[nc + b, off + a] = ct.imag - ch.imag
+    if periodic:
+        for j in range(1, n_trunc + 1):
+            want[0, j] = want[j, 0] = np.sqrt(2.0) * q.coefficient(j).real
+            want[0, n_trunc + j] = want[n_trunc + j, 0] = -np.sqrt(2.0) * q.coefficient(j).imag
+    return want
 
 
 def test_galerkin_matrix_hermitian_exactly():
+    # real symmetric, bit for bit, with Toeplitz-plus-Hankel entries
     q = random_hs(1.0, 8, 3)
     for parity in ("periodic", "semiperiodic"):
         m = galerkin_matrix(q, parity, 16)
-        assert np.array_equal(m, m.conj().T)
+        assert m.dtype == np.float64
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(m, _toeplitz_plus_hankel(q, parity, 16))
+
+
+def _complex_galerkin_matrix(q, parity, n_trunc):
+    """The operator in the exponential basis: free diagonal plus c(j - l)."""
+    js = np.arange(-n_trunc, n_trunc + 1) if parity == "periodic" else np.arange(-n_trunc, n_trunc)
+    diag = (np.pi * (2 * js + (parity == "semiperiodic"))) ** 2
+    mat = np.array([[q.coefficient(int(j - l)) for l in js] for j in js])
+    return mat + np.diag(diag)
+
+
+def _floor(mat):
+    return 8.0 * np.finfo(float).eps * np.linalg.norm(mat, 2)
+
+
+@pytest.mark.parametrize("parity", ["periodic", "semiperiodic"])
+@pytest.mark.parametrize(
+    "q",
+    [mathieu(0.7), power_decay(2.0, 32), random_hs(1.0, 48, 3)],
+    ids=["mathieu", "power_decay", "random_hs"],
+)
+def test_real_basis_matches_complex_oracle(q, parity):
+    # the lower half of the spectrum holds every reported edge; the top of a
+    # dense solve's spectrum carries a larger roundoff constant
+    n_trunc = 96
+    real = galerkin_matrix(q, parity, n_trunc)
+    oracle = _complex_galerkin_matrix(q, parity, n_trunc)
+    want = np.linalg.eigvalsh(oracle)[:n_trunc]
+    assert np.max(np.abs(np.linalg.eigvalsh(real)[:n_trunc] - want)) <= _floor(real)
+
+
+@pytest.mark.parametrize("parity", ["periodic", "semiperiodic"])
+def test_even_split_matches_unsplit_solve(parity):
+    n_trunc = 96
+    for q in (mathieu(0.7), power_decay(2.0, 32)):
+        m = galerkin_matrix(q, parity, n_trunc)
+        nc = m.shape[0] - n_trunc
+        assert not np.any(m[:nc, nc:])  # even q: cos and sin decouple
+        split = _eigenvalues(m, n_trunc)
+        assert np.max(np.abs(split[:n_trunc] - np.linalg.eigvalsh(m)[:n_trunc])) <= _floor(m)
+    assert np.any(galerkin_matrix(random_hs(1.0, 48, 3), parity, n_trunc)[:nc, nc:])
 
 
 def test_galerkin_matrix_rejects_aliasing_and_mean():

@@ -18,7 +18,6 @@ from .gaps import (
     gaps,
     residuals,
     rho,
-    rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
     weighted_tail_report,
@@ -33,12 +32,9 @@ from .potential import (
     potential_to_dict,
     power_decay,
     random_hs,
-    sample_test_potential,
-    save_potential,
     two_harmonic,
 )
 from .sequence_spaces import (
-    CompareWeightsReport,
     ConvLemmaReport,
     ConvTrials,
     OrClassReport,
@@ -47,7 +43,6 @@ from .sequence_spaces import (
     Weight,
     check_or_class,
     check_sandwich,
-    compare_weights,
     conv_lemma_report,
     convolution_ratio,
     convolve,

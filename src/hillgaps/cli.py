@@ -20,8 +20,6 @@ from .gaps import (
     decay_slope,
     default_fit_start,
     residuals,
-    rho,
-    rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
     weighted_tail_report,
@@ -224,14 +222,15 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
         ok = ok and bool(passed)
 
     # weight extension: value 1 at the origin, symmetric, positive
-    ks = np.arange(0, 2001)
     ext_ok = True
+    k_checked = 2000
     for w in weights:
         kmax = int(min(2000, w.max_index))
+        k_checked = min(k_checked, kmax)
         vals = np.asarray(w(np.arange(0, kmax + 1)))
         neg = np.asarray(w(-np.arange(0, kmax + 1)))
         ext_ok = ext_ok and vals[0] == 1.0 and np.all(vals > 0) and np.array_equal(vals, neg)
-    record("weight_extension", ext_ok, {"k_checked": int(ks[-1])})
+    record("weight_extension", ext_ok, {"k_checked": k_checked})
 
     # convolution identity and commutativity on a small deterministic pair
     rng = np.random.default_rng(args.seed)
@@ -241,15 +240,6 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
     ident = convolve(delta0, a).entries == a.entries
     comm = convolve(a, b).entries == convolve(b, a).entries
     record("convolution_identity_commutativity", ident and comm, {})
-
-    # two-route equality of the correction
-    q0 = q.without_mean()
-    kmax_rho = max(1, min(2 * q.cutoff + 2, args.nmax))
-    conv = rho_via_convolution(q0, kmax_rho)
-    worst = 0.0
-    for n in range(1, kmax_rho + 1):
-        worst = max(worst, float(abs(rho(q0, n) - conv[n - 1])))
-    record("rho_two_route_equality", worst <= 1e-14, {"max_abs_diff": worst})
 
     # coefficient-norm consistency
     diff = abs(hormander_norm(q, power_weight(1.0)) - weighted_norm(q.two_sided(), power_weight(1.0)))

@@ -2,11 +2,9 @@
 
 The leading term of the n-th gap length is twice the modulus of the n-th
 Fourier coefficient; the correction rho(n) sharpens it.  Everything here
-is an exact finite sum over the potential's support, so the two summation
-routes for rho (direct, and convolution of the divided coefficients) can
-be compared at full precision.  Infinite-dimensional membership claims
-are never asserted: they are rendered as exact finite-sum inequalities
-plus plateau and slope reports.
+is an exact finite sum over the potential's support.  Infinite-dimensional
+membership claims are never asserted: they are rendered as exact
+finite-sum inequalities plus plateau and slope reports.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .potential import Potential
-from .sequence_spaces import TwoSidedSeq, Weight, convolve, weighted_norm
+from .sequence_spaces import Weight
 from .spectrum import BandEdges, _edge_tol
 
 
@@ -63,29 +61,6 @@ def rho(q: Potential, n: int) -> complex:
             continue
         acc += q.coefficient(a) * q.coefficient(b) / (a * b)
     return acc / (4.0 * math.pi * math.pi)
-
-
-def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
-    """The same correction through the convolution of divided coefficients.
-
-    With a(k) = c(k)/k (and a(0) = 0) the correction equals (a*a)(n) up
-    to the 1/(4 pi^2) factor; the excluded indices of the direct sum are
-    the terms that a(0) = 0 kills.  One convolution serves every index:
-    the result holds rho(n) for n = 1..n_max.  Requires a mean-zero
-    potential, matching the normalization that makes a(0) = 0 the honest
-    value.
-    """
-    if n_max < 1:
-        raise InputError("rho is defined for n >= 1")
-    if q.mean != 0.0:
-        raise InputError("rho_via_convolution requires a mean-zero potential")
-    vals: dict[int, complex] = {}
-    for k, v in q.coeffs:
-        vals[k] = v / k
-        vals[-k] = v.conjugate() / (-k)
-    divided = TwoSidedSeq.from_dict(vals, support=q.cutoff)
-    square = convolve(divided, divided)
-    return np.array([square.value(n) / (4.0 * math.pi * math.pi) for n in range(1, n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -225,7 +200,10 @@ def default_fit_start(q: Potential) -> int:
     from .potential import hormander_norm
     from .sequence_spaces import power_weight
 
-    return max(4, 2 * math.ceil(hormander_norm(q, power_weight(0.0))))
+    norm = hormander_norm(q, power_weight(0.0))
+    if not math.isfinite(norm):
+        raise InputError("potential h^0 norm overflows, so there is no default fit range; give one")
+    return max(4, 2 * math.ceil(norm))
 
 
 # ----------------------------------------------------------------------
@@ -320,11 +298,14 @@ def verify_marchenko_ostrovskii(
     gap_terms = (1.0 + 2.0 * ns) ** (2 * s) * report.gamma**2
     gap_csum = np.cumsum(gap_terms)
     coeff = []
-    acc = q.mean**2  # k = 0 term, weight 1
-    for m in range(1, report.n_max + 1):
-        v = q.coefficient(m)
-        acc += 2.0 * (1.0 + 2.0 * m) ** (2 * s) * (v.real**2 + v.imag**2)
-        coeff.append(acc)
+    try:  # float ** raises where numpy would return inf
+        acc = q.mean**2  # k = 0 term, weight 1
+        for m in range(1, report.n_max + 1):
+            v = q.coefficient(m)
+            acc += 2.0 * (1.0 + 2.0 * m) ** (2 * s) * (v.real**2 + v.imag**2)
+            coeff.append(acc)
+    except OverflowError as exc:
+        raise InputError(f"order-{s} coefficient norm overflows for this potential") from exc
     coeff_csum = np.array(coeff)
     ms = np.arange(lo, hi + 1)
     return SummabilityReport(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,10 @@ class Potential:
 
     mean: float
     coeffs: tuple[tuple[int, complex], ...]  # ascending k >= 1, zeros dropped
+    _lookup: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.coeffs))
 
     @property
     def cutoff(self) -> int:
@@ -34,16 +38,8 @@ class Potential:
         if k == 0:
             return complex(self.mean)
         if k < 0:
-            return self._positive(-k).conjugate()
-        return self._positive(k)
-
-    def _positive(self, k: int) -> complex:
-        for kk, v in self.coeffs:
-            if kk == k:
-                return v
-            if kk > k:
-                break
-        return 0j
+            return self._lookup.get(-k, 0j).conjugate()
+        return self._lookup.get(k, 0j)
 
     def evaluate(self, x) -> float | np.ndarray:
         """Value of the potential at x (reduced mod 1); exact 1-periodicity."""
@@ -56,15 +52,15 @@ class Potential:
             return float(out)
         return out
 
-    def two_sided(self, include_mean: bool = True) -> TwoSidedSeq:
+    def two_sided(self) -> TwoSidedSeq:
         """Full coefficient sequence on the integers with conjugate symmetry."""
         vals: dict[int, complex] = {}
-        if include_mean and self.mean != 0.0:
+        if self.mean != 0.0:
             vals[0] = complex(self.mean)
         for k, v in self.coeffs:
             vals[k] = v
             vals[-k] = v.conjugate()
-        return TwoSidedSeq.from_dict(vals, support=self.cutoff, real_symmetric=True)
+        return TwoSidedSeq.from_dict(vals, support=self.cutoff)
 
     def without_mean(self) -> "Potential":
         return Potential(mean=0.0, coeffs=self.coeffs)
@@ -104,7 +100,7 @@ def hormander_norm(q: Potential, w: Weight) -> float:
     mean included with weight 1 at the origin, so it agrees with
     :func:`hillgaps.sequence_spaces.weighted_norm` by the same summation.
     """
-    return weighted_norm(q.two_sided(include_mean=True), w)
+    return weighted_norm(q.two_sided(), w)
 
 
 # ----------------------------------------------------------------------
@@ -141,19 +137,6 @@ def random_hs(s: float, cutoff: int, seed: int) -> Potential:
         for k in range(1, cutoff + 1)
     ]
     return from_fourier(0.0, coeffs)
-
-
-def sample_test_potential(kind: str, **params) -> Potential:
-    """Dispatch to the named test potentials by kind string."""
-    makers = {
-        "mathieu": mathieu,
-        "two_harmonic": two_harmonic,
-        "power_decay": power_decay,
-        "random_hs": random_hs,
-    }
-    if kind not in makers:
-        raise InputError(f"unknown test potential kind {kind!r}")
-    return makers[kind](**params)
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +178,3 @@ def load_potential(path: str) -> Potential:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return potential_from_dict(doc)
-
-
-def save_potential(q: Potential, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(potential_to_dict(q), f, indent=2)
-        f.write("\n")

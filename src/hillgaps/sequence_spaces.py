@@ -224,13 +224,11 @@ class TwoSidedSeq:
 
     ``entries`` holds the nonzero values as (index, value) pairs sorted by
     index; ``support`` bounds the support (entries vanish for |k| beyond
-    it).  The ``real_symmetric`` flag certifies entries(-k) == conj(entries(k)),
-    which the constructor validates.
+    it).
     """
 
     entries: tuple[tuple[int, complex], ...]
     support: int
-    real_symmetric: bool = False
     _lookup: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -238,18 +236,14 @@ class TwoSidedSeq:
         for k, v in self.entries:
             if abs(k) > self.support:
                 raise InputError(f"entry at k={k} exceeds declared support {self.support}")
-        if self.real_symmetric:
-            for k, v in self.entries:
-                if self._lookup.get(-k, 0j) != v.conjugate():
-                    raise InputError(f"real_symmetric flag violated at k={k}")
 
     @staticmethod
-    def from_dict(values: dict, support: int | None = None, real_symmetric: bool = False) -> "TwoSidedSeq":
+    def from_dict(values: dict, support: int | None = None) -> "TwoSidedSeq":
         items = tuple(sorted((int(k), complex(v)) for k, v in values.items() if complex(v) != 0))
         bound = max((abs(k) for k, _ in items), default=0)
         if support is None:
             support = bound
-        return TwoSidedSeq(entries=items, support=int(support), real_symmetric=real_symmetric)
+        return TwoSidedSeq(entries=items, support=int(support))
 
     @staticmethod
     def delta(k: int = 0, value: complex = 1.0 + 0j) -> "TwoSidedSeq":
@@ -265,17 +259,6 @@ class TwoSidedSeq:
 
     def __call__(self, k: int) -> complex:
         return self.value(k)
-
-    def scaled(self, factor: complex) -> "TwoSidedSeq":
-        return TwoSidedSeq.from_dict(
-            {k: factor * v for k, v in self.entries}, support=self.support
-        )
-
-    def plus(self, other: "TwoSidedSeq") -> "TwoSidedSeq":
-        out = dict(self.entries)
-        for k, v in other.entries:
-            out[k] = out.get(k, 0j) + v
-        return TwoSidedSeq.from_dict(out, support=max(self.support, other.support))
 
 
 def weighted_norm(a: TwoSidedSeq, w: Weight) -> float:
@@ -312,10 +295,7 @@ def convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> TwoSidedSeq:
             acc += x.value(k - j) * y.value(j)
         if acc != 0j:
             out[k] = acc
-    flag = False
-    if a.real_symmetric and b.real_symmetric:
-        flag = all(out.get(-k, 0j) == v.conjugate() for k, v in out.items())
-    return TwoSidedSeq.from_dict(out, support=kmax, real_symmetric=flag)
+    return TwoSidedSeq.from_dict(out, support=kmax)
 
 
 def convolution_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: float) -> float:
@@ -359,7 +339,6 @@ class ConvLemmaReport:
     t: float
     margin: float  # s + r - t
     regime: str  # "bounded" | "fails to hold"
-    family: str  # "random" | "indicator"
     samples: tuple[ConvSizeSample, ...]
     trend_ok: bool
     growth_factor: float  # max ratio at largest size / max ratio at smallest
@@ -414,7 +393,7 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
     else:
         growth = 1.0
     return ConvLemmaReport(
-        s=s, r=r, t=t, margin=margin, regime=regime, family=family,
+        s=s, r=r, t=t, margin=margin, regime=regime,
         samples=tuple(samples), trend_ok=trend_ok, growth_factor=growth,
     )
 
@@ -517,26 +496,3 @@ def check_sandwich(w: Weight, s: float, k_max: int) -> SandwichReport:
         lower_vanishing=lower_vanishing, upper_diverging=upper_diverging,
         passed=bool(c_low > 0 and not lower_vanishing and not upper_diverging),
     )
-
-
-@dataclass(frozen=True)
-class CompareWeightsReport:
-    sup_ratio: float  # sup over 1 <= k <= k_max of w2(k) / w1(k)
-    at_k: int
-    embedding_constant: float  # max(1, sup_ratio); valid for sequences touching k=0
-
-
-def compare_weights(w1: Weight, w2: Weight, k_max: int) -> CompareWeightsReport:
-    """Finite-range embedding constant of the w1-space into the w2-space.
-
-    For sequences supported in [-k_max, k_max] the norm inequality
-    ||a||_{w2} <= C ||a||_{w1} holds with C = max(1, sup ratio); the 1
-    accounts for the shared value at the origin.
-    """
-    if k_max < 1:
-        raise InputError("compare_weights needs k_max >= 1")
-    ks = np.arange(1, k_max + 1)
-    ratio = np.asarray(w2(ks)) / np.asarray(w1(ks))
-    i = int(np.argmax(ratio))
-    sup = float(ratio[i])
-    return CompareWeightsReport(sup_ratio=sup, at_k=int(ks[i]), embedding_constant=max(1.0, sup))

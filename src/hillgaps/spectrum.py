@@ -29,6 +29,7 @@ _BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
 _ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
+_MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
 
 
 def _edge_tol(x: float) -> float:
@@ -41,7 +42,8 @@ class GalerkinConfig:
 
     ``n_trunc`` is the number of retained frequencies per side; when left
     unset it defaults to max(64, 4 n_max + 2 K), comfortably past the
-    resonances that feed the reported edges.
+    resonances that feed the reported edges.  Either way it must lie in
+    [2 n_max + 16, 4096].
     """
 
     n_trunc: int | None = None
@@ -50,6 +52,11 @@ class GalerkinConfig:
         n = self.n_trunc if self.n_trunc is not None else max(64, 4 * n_max + 2 * cutoff)
         if n < 2 * n_max + 16:
             raise InputError(f"n_trunc={n} below the safety floor {2 * n_max + 16}")
+        if n > _MAX_TRUNC:
+            raise InputError(
+                f"n_trunc={n} exceeds the largest truncation {_MAX_TRUNC} "
+                f"(n_max={n_max}, potential cutoff K={cutoff})"
+            )
         return n
 
 
@@ -87,10 +94,6 @@ class BandEdges:
     @staticmethod
     def parity(n: int) -> str:
         return "periodic" if n % 2 == 0 else "semiperiodic"
-
-    def gap(self, n: int) -> float:
-        lo, hi = self.pairs[n - 1]
-        return hi - lo
 
     def gaps(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.pairs])
@@ -197,12 +200,17 @@ def _eigenvalues(mat: np.ndarray, n_sin: int) -> np.ndarray:
     """Ascending eigenvalues of a Galerkin matrix whose last ``n_sin`` rows are the sines.
 
     When the cos-sin block is exactly zero (an even potential) the two
-    diagonal blocks are solved apart and their eigenvalues merged.
+    diagonal blocks are solved apart and their eigenvalues merged.  Entries
+    that overflowed to inf make the solver fail; the eigenvalues are then
+    NaN, which :meth:`BandEdges.validate` reports as non-finite edges.
     """
     nc = mat.shape[0] - n_sin
-    if np.any(mat[:nc, nc:]):
-        return np.linalg.eigvalsh(mat)
-    return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
+    try:
+        if np.any(mat[:nc, nc:]):
+            return np.linalg.eigvalsh(mat)
+        return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
+    except np.linalg.LinAlgError:
+        return np.full(mat.shape[0], np.nan)
 
 
 def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = GalerkinConfig()) -> BandEdges:

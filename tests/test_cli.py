@@ -1,12 +1,21 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hillgaps import potential_to_dict, mathieu, power_decay, from_fourier
+from hillgaps import spectrum
 from hillgaps.cli import main
+
+HUGE_K = {"coeffs": [{"k": 1000000000000, "re": 0.1}]}
 
 
 @pytest.fixture()
@@ -74,6 +83,25 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, message",
+    [
+        # 1e308 + 1e308 overflows inside the Galerkin matrix; the eigensolver cannot run on it
+        ("spectrum", {"coeffs": [{"k": 1, "re": 1e308}, {"k": 3, "re": 1e308}]}, 3, "non-finite"),
+        # the default fit range comes from the h^0 norm
+        ("gaps", {"mean": 1e308, "coeffs": []}, 2, "no default fit range"),
+        # the summability report squares Python floats
+        ("verify", {"coeffs": [{"k": 1, "re": 1e200}]}, 2, "coefficient norm overflows"),
+    ],
+    ids=["spectrum-matrix", "gaps-fit-range", "verify-summability"],
+)
+def test_overflow_exit_codes(files, capsys, command, doc, code, message):
+    big = files["dir"] / "big.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--potential", str(big), "--nmax", "1"]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_spectrum_malformed_json_exit_2(files):
@@ -169,6 +197,18 @@ def test_verify_short_table_weight(files):
     assert doc["reports"]["sandwich"][0]["weight"] == "table(len=8)"
 
 
+def test_verify_weight_extension_reports_checked_range(files):
+    # the extension is checked up to each weight's own range; the report gives the smallest
+    wt = files["dir"] / "wt8.json"
+    wt.write_text(json.dumps({"kind": "table", "values": [1, 2, 3, 4, 5, 6, 7, 8]}), encoding="utf-8")
+    out = files["dir"] / "vt8.json"
+    rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "3", "--weight", files["w1"],
+               "--weight", str(wt), "--out", str(out)])
+    assert rc == 0
+    (ext,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "weight_extension"]
+    assert ext["passed"] and ext["k_checked"] == 8
+
+
 def test_verify_length_one_table_weight(files):
     # a one-entry table has no slope to fit: the sandwich block is skipped, not failed
     wt = files["dir"] / "wt1.json"
@@ -194,6 +234,31 @@ def test_out_into_missing_directory_exit_2(files, capsys):
         assert main(argv + ["--out", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [(HUGE_K, []), ({"coeffs": [{"k": 1, "re": 0.1}]}, ["--trunc", "100000"])],
+    ids=["huge-k", "huge-trunc"],
+)
+def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, doc, extra):
+    pot = files["dir"] / "bound.json"
+    pot.write_text(json.dumps(doc), encoding="utf-8")
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("galerkin_matrix must not run past the truncation bound")
+
+    monkeypatch.setattr(spectrum, "galerkin_matrix", no_matrix)
+    tracemalloc.start()
+    try:
+        rc = main(["spectrum", "--potential", str(pot), "--nmax", "2", "--method", "galerkin"] + extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "n_trunc=" in err and "4096" in err
 
 
 @pytest.mark.parametrize(
@@ -297,3 +362,52 @@ def test_csv_floats_have_17_significant_digits(files):
     val = row[2]
     assert float(val) != 0
     assert format(float(val), ".17g") == val
+
+
+# ------------------------------------------------------------------ exit-code contract
+
+NUMBER = (
+    st.floats(-2.0, 2.0)
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from([None, "x", 1e308, -1e308, True])
+)
+CLI_COEFF = st.fixed_dictionaries({"k": st.integers(-1, 64)}, optional={"re": NUMBER, "im": NUMBER})
+CLI_POTENTIALS = (
+    st.fixed_dictionaries({"coeffs": st.lists(CLI_COEFF, max_size=4)}, optional={"mean": NUMBER})
+    | st.sampled_from([[], {"coeffs": {}}, {"coeffs": [7]}, "x", None])
+)
+CLI_WEIGHTS = (
+    st.fixed_dictionaries({"kind": st.just("power")}, optional={"s": NUMBER})
+    | st.fixed_dictionaries({"kind": st.just("example_2_4")}, optional={"s": NUMBER})
+    | st.fixed_dictionaries(
+        {"kind": st.just("log_power")}, optional={"s": NUMBER, "r": st.lists(NUMBER, max_size=3)}
+    )
+    | st.fixed_dictionaries({"kind": st.just("table"), "values": st.lists(NUMBER, max_size=10)})
+    | st.sampled_from([{"kind": "gaussian"}, [], None])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["spectrum", "gaps", "verify"]),
+    nmax=st.integers(1, 6),
+    pot=CLI_POTENTIALS,
+    weights=st.lists(CLI_WEIGHTS, max_size=2),
+)
+@example(command="spectrum", nmax=2, pot=HUGE_K, weights=[])
+def test_cli_exit_code_contract(command, nmax, pot, weights):
+    # main runs in process, so an exception escaping it (the traceback a user
+    # would see) fails the example by itself
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "q.json").write_text(json.dumps(pot), encoding="utf-8")
+        argv = [command, "--potential", str(d / "q.json"), "--nmax", str(nmax), "--method", "galerkin"]
+        for i, w in enumerate(weights if command != "spectrum" else []):
+            (d / f"w{i}.json").write_text(json.dumps(w), encoding="utf-8")
+            argv += ["--weight", str(d / f"w{i}.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -15,8 +15,6 @@ from hillgaps import (
     power_decay,
     power_weight,
     random_hs,
-    sample_test_potential,
-    save_potential,
     two_harmonic,
     weighted_norm,
 )
@@ -130,17 +128,11 @@ def test_random_hs_reproducible_and_decaying():
         assert abs(q1.coefficient(k)) == pytest.approx((1 + 2 * k) ** (-2.0), rel=1e-12)
 
 
-def test_sample_test_potential_dispatch():
-    assert sample_test_potential("mathieu", c=0.1) == mathieu(0.1)
-    assert sample_test_potential("two_harmonic", c1=0.1, c2=0.2) == two_harmonic(0.1, 0.2)
-    with pytest.raises(InputError):
-        sample_test_potential("gaussian")
-
-
 def test_json_round_trip(tmp_path):
     q = from_fourier(1.25, [(1, 0.1 + 0.05j), (3, -0.2j)])
     path = tmp_path / "q.json"
-    save_potential(q, str(path))
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(potential_to_dict(q), f)
     assert load_potential(str(path)) == q
 
 

@@ -237,7 +237,7 @@ def test_discriminant_fourth_order_convergence():
 
 def test_mathieu_first_gap_near_leading_term():
     edges = band_edges_discriminant(mathieu(0.1), 3)
-    gap1 = edges.gap(1)
+    gap1 = edges.gaps()[0]
     assert abs(gap1 - 0.2) / 0.2 < 0.05
 
 

@@ -6,6 +6,7 @@ from .errors import (
     InputError,
     IntegrationError,
     InterlacingError,
+    NumericalError,
 )
 from .gaps import (
     GapReport,
@@ -18,6 +19,7 @@ from .gaps import (
     gaps,
     residuals,
     rho,
+    rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
     weighted_tail_report,

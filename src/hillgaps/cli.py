@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .errors import BracketError, InputError, IntegrationError, InterlacingError
+from .errors import InputError, NumericalError
 from .gaps import (
     decay_slope,
     default_fit_start,
     residuals,
+    rho,
+    rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
     weighted_tail_report,
@@ -241,6 +243,15 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
     comm = convolve(a, b).entries == convolve(b, a).entries
     record("convolution_identity_commutativity", ident and comm, {})
 
+    # two-route equality of the correction
+    q0 = q.without_mean()
+    kmax_rho = max(1, min(2 * q.cutoff + 2, args.nmax))
+    conv = rho_via_convolution(q0, kmax_rho)
+    worst = 0.0
+    for n in range(1, kmax_rho + 1):
+        worst = max(worst, float(abs(rho(q0, n) - conv[n - 1])))
+    record("rho_two_route_equality", worst <= 1e-14, {"max_abs_diff": worst})
+
     # coefficient-norm consistency
     diff = abs(hormander_norm(q, power_weight(1.0)) - weighted_norm(q.two_sided(), power_weight(1.0)))
     record("coefficient_norm_consistency", diff == 0.0, {"abs_diff": diff})
@@ -440,7 +451,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InterlacingError, IntegrationError, BracketError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

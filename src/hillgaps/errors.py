@@ -9,7 +9,11 @@ class InputError(HillgapsError):
     """Invalid user input: bad files, bad parameters, violated preconditions."""
 
 
-class InterlacingError(HillgapsError):
+class NumericalError(HillgapsError):
+    """A numerical method failed on valid input: overflow, or a failed accuracy check."""
+
+
+class InterlacingError(NumericalError):
     """Computed band edges violate the interlacing ordering.
 
     Usually signals insufficient truncation or integration resolution.
@@ -20,11 +24,11 @@ class InterlacingError(HillgapsError):
         super().__init__(f"interlacing violated at n={n}: {detail}")
 
 
-class IntegrationError(HillgapsError):
+class IntegrationError(NumericalError):
     """The ODE integrator failed its accuracy witness after all retries."""
 
 
-class BracketError(HillgapsError):
+class BracketError(NumericalError):
     """A root bracket could not be established within the search budget."""
 
 

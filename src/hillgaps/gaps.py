@@ -2,9 +2,11 @@
 
 The leading term of the n-th gap length is twice the modulus of the n-th
 Fourier coefficient; the correction rho(n) sharpens it.  Everything here
-is an exact finite sum over the potential's support.  Infinite-dimensional
-membership claims are never asserted: they are rendered as exact
-finite-sum inequalities plus plateau and slope reports.
+is an exact finite sum over the potential's support, so the two summation
+routes for rho (direct, and convolution of the divided coefficients) can
+be compared at full precision.  Infinite-dimensional membership claims
+are never asserted: they are rendered as exact finite-sum inequalities
+plus plateau and slope reports.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .potential import Potential
-from .sequence_spaces import Weight
+from .sequence_spaces import TwoSidedSeq, Weight, convolve
 from .spectrum import BandEdges, _edge_tol
 
 
@@ -61,6 +63,29 @@ def rho(q: Potential, n: int) -> complex:
             continue
         acc += q.coefficient(a) * q.coefficient(b) / (a * b)
     return acc / (4.0 * math.pi * math.pi)
+
+
+def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
+    """The same correction through the convolution of divided coefficients.
+
+    With a(k) = c(k)/k (and a(0) = 0) the correction equals (a*a)(n) up
+    to the 1/(4 pi^2) factor; the excluded indices of the direct sum are
+    the terms that a(0) = 0 kills.  One convolution serves every index:
+    the result holds rho(n) for n = 1..n_max.  Requires a mean-zero
+    potential, matching the normalization that makes a(0) = 0 the honest
+    value.
+    """
+    if n_max < 1:
+        raise InputError("rho is defined for n >= 1")
+    if q.mean != 0.0:
+        raise InputError("rho_via_convolution requires a mean-zero potential")
+    vals: dict[int, complex] = {}
+    for k, v in q.coeffs:
+        vals[k] = v / k
+        vals[-k] = v.conjugate() / (-k)
+    divided = TwoSidedSeq.from_dict(vals, support=q.cutoff)
+    square = convolve(divided, divided)
+    return np.array([square.value(n) / (4.0 * math.pi * math.pi) for n in range(1, n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -294,18 +319,29 @@ def verify_marchenko_ostrovskii(
     lo, hi = n_range
     if not 1 <= lo <= hi <= report.n_max:
         raise InputError(f"n_range {n_range} outside the report range 1..{report.n_max}")
+    # float ** raises where numpy would return inf: an overflowing weight is
+    # the order's fault, an overflowing norm of a valid potential is float64's
+    try:
+        weights = [(1.0 + 2.0 * m) ** (2 * s) for m in range(1, report.n_max + 1)]
+    except OverflowError as exc:
+        raise InputError(
+            f"summability order s={s} overflows the weight (1+2m)^(2s) for m <= {report.n_max}"
+        ) from exc
     ns = np.arange(1, report.n_max + 1)
     gap_terms = (1.0 + 2.0 * ns) ** (2 * s) * report.gamma**2
     gap_csum = np.cumsum(gap_terms)
+    overflow = f"order-{s} coefficient norm overflows float64 for this potential"
     coeff = []
-    try:  # float ** raises where numpy would return inf
+    try:
         acc = q.mean**2  # k = 0 term, weight 1
-        for m in range(1, report.n_max + 1):
+        for m, wm in enumerate(weights, start=1):
             v = q.coefficient(m)
-            acc += 2.0 * (1.0 + 2.0 * m) ** (2 * s) * (v.real**2 + v.imag**2)
+            acc += 2.0 * wm * (v.real**2 + v.imag**2)
             coeff.append(acc)
     except OverflowError as exc:
-        raise InputError(f"order-{s} coefficient norm overflows for this potential") from exc
+        raise NumericalError(overflow) from exc
+    if not math.isfinite(acc):
+        raise NumericalError(overflow)
     coeff_csum = np.array(coeff)
     ms = np.arange(lo, hi + 1)
     return SummabilityReport(

@@ -200,17 +200,16 @@ def _eigenvalues(mat: np.ndarray, n_sin: int) -> np.ndarray:
     """Ascending eigenvalues of a Galerkin matrix whose last ``n_sin`` rows are the sines.
 
     When the cos-sin block is exactly zero (an even potential) the two
-    diagonal blocks are solved apart and their eigenvalues merged.  Entries
-    that overflowed to inf make the solver fail; the eigenvalues are then
-    NaN, which :meth:`BandEdges.validate` reports as non-finite edges.
+    diagonal blocks are solved apart and their eigenvalues merged.  A matrix
+    with entries that overflowed to inf has NaN eigenvalues, which
+    :meth:`BandEdges.validate` reports as non-finite edges.
     """
-    nc = mat.shape[0] - n_sin
-    try:
-        if np.any(mat[:nc, nc:]):
-            return np.linalg.eigvalsh(mat)
-        return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
-    except np.linalg.LinAlgError:
+    if not np.isfinite(mat).all():
         return np.full(mat.shape[0], np.nan)
+    nc = mat.shape[0] - n_sin
+    if np.any(mat[:nc, nc:]):
+        return np.linalg.eigvalsh(mat)
+    return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
 
 
 def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = GalerkinConfig()) -> BandEdges:

@@ -1,17 +1,13 @@
 """Shared oracles for the test suite.
 
 These deliberately avoid the library's own code paths: the convolution
-oracle is a literal double sum, the rho oracle squares the divided
-coefficient sequence by one convolution instead of summing each index
-directly, and the operator-norm oracle maximizes the convolution ratio by
-alternating singular-value steps.
+oracle is a literal double sum, and the operator-norm oracle maximizes the
+convolution ratio by alternating singular-value steps.
 """
-
-import math
 
 import numpy as np
 
-from hillgaps import InputError, Potential, TwoSidedSeq, convolve
+from hillgaps import TwoSidedSeq
 
 
 def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> dict:
@@ -25,29 +21,6 @@ def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> dict:
         if acc != 0j:
             out[k] = acc
     return out
-
-
-def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
-    """The gap correction rho through the convolution of divided coefficients.
-
-    With a(k) = c(k)/k (and a(0) = 0) the correction equals (a*a)(n) up
-    to the 1/(4 pi^2) factor; the excluded indices of the direct sum are
-    the terms that a(0) = 0 kills.  One convolution serves every index:
-    the result holds rho(n) for n = 1..n_max.  Requires a mean-zero
-    potential, matching the normalization that makes a(0) = 0 the honest
-    value.
-    """
-    if n_max < 1:
-        raise InputError("rho is defined for n >= 1")
-    if q.mean != 0.0:
-        raise InputError("rho_via_convolution requires a mean-zero potential")
-    vals: dict[int, complex] = {}
-    for k, v in q.coeffs:
-        vals[k] = v / k
-        vals[-k] = v.conjugate() / (-k)
-    divided = TwoSidedSeq.from_dict(vals, support=q.cutoff)
-    square = convolve(divided, divided)
-    return np.array([square.value(n) / (4.0 * math.pi * math.pi) for n in range(1, n_max + 1)])
 
 
 def _pw(s: float, kmax: int) -> np.ndarray:

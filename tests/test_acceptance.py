@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import operator_constant, rho_via_convolution
+from conftest import operator_constant
 
 from hillgaps import (
     ConvTrials,
@@ -33,6 +33,7 @@ from hillgaps import (
     random_hs,
     residuals,
     rho,
+    rho_via_convolution,
     table_weight,
     two_harmonic,
     verify_membership_consistency,

@@ -86,21 +86,25 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, doc, code, message",
+    "command, doc, extra, code, message",
     [
         # 1e308 + 1e308 overflows inside the Galerkin matrix; the eigensolver cannot run on it
-        ("spectrum", {"coeffs": [{"k": 1, "re": 1e308}, {"k": 3, "re": 1e308}]}, 3, "non-finite"),
+        ("spectrum", {"coeffs": [{"k": 1, "re": 1e308}, {"k": 3, "re": 1e308}]}, [], 3, "non-finite"),
         # the default fit range comes from the h^0 norm
-        ("gaps", {"mean": 1e308, "coeffs": []}, 2, "no default fit range"),
-        # the summability report squares Python floats
-        ("verify", {"coeffs": [{"k": 1, "re": 1e200}]}, 2, "coefficient norm overflows"),
+        ("gaps", {"mean": 1e308, "coeffs": []}, [], 2, "no default fit range"),
+        # the summability report squares Python floats: a valid coefficient whose norm overflows
+        ("verify", {"coeffs": [{"k": 1, "re": 1e200}]}, [], 3, "coefficient norm overflows"),
+        # the square is finite, the weighted sum is not
+        ("verify", {"coeffs": [{"k": 1, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
+        # the order argument alone overflows the weight (1+2m)^(2s)
+        ("verify", {"coeffs": [{"k": 1, "re": 0.1}]}, ["--mo-s", "400"], 2, "summability order s=400"),
     ],
-    ids=["spectrum-matrix", "gaps-fit-range", "verify-summability"],
+    ids=["spectrum-matrix", "gaps-fit-range", "verify-summability", "verify-summability-sum", "verify-mo-s"],
 )
-def test_overflow_exit_codes(files, capsys, command, doc, code, message):
+def test_overflow_exit_codes(files, capsys, command, doc, extra, code, message):
     big = files["dir"] / "big.json"
     big.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([command, "--potential", str(big), "--nmax", "1"]) == code
+    assert main([command, "--potential", str(big), "--nmax", "1", *extra]) == code
     assert message in capsys.readouterr().err
 
 

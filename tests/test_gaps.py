@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rho_via_convolution
 
 from hillgaps import (
     BandEdges,
@@ -20,6 +19,7 @@ from hillgaps import (
     random_hs,
     residuals,
     rho,
+    rho_via_convolution,
     two_harmonic,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
@@ -80,8 +80,6 @@ def test_rho_requires_positive_index():
 
 
 def test_rho_two_routes_agree():
-    # the library's direct sum against the convolution oracle; power_decay(2, 16)
-    # also covers every n <= 16 element by element
     for q in (mathieu(0.1), two_harmonic(0.3, -0.2), power_decay(2.0, 16), random_hs(1.0, 12, 5)):
         conv = rho_via_convolution(q, 2 * q.cutoff + 2)
         for n in range(1, 2 * q.cutoff + 3):
@@ -108,6 +106,13 @@ def test_rho_convolution_route_rejects_mean():
         rho_via_convolution(from_fourier(1.0, [(1, 0.1)]), 1)
     # the direct route never reads the mean
     assert rho(from_fourier(1.0, [(1, 0.1)]), 1) == rho(mathieu(0.1), 1)
+
+
+def test_rho_power_decay_elementwise():
+    q = power_decay(2.0, 16)
+    conv = rho_via_convolution(q, 16)
+    for n in range(1, 17):
+        assert abs(rho(q, n) - conv[n - 1]) <= 1e-14
 
 
 # ------------------------------------------------------------------ residual report

@@ -227,7 +227,7 @@ def default_fit_start(q: Potential) -> int:
 
     norm = hormander_norm(q, power_weight(0.0))
     if not math.isfinite(norm):
-        raise InputError("potential h^0 norm overflows, so there is no default fit range; give one")
+        raise NumericalError("potential h^0 norm overflows float64, so there is no default fit range; give one")
     return max(4, 2 * math.ceil(norm))
 
 

@@ -91,7 +91,7 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
         # 1e308 + 1e308 overflows inside the Galerkin matrix; the eigensolver cannot run on it
         ("spectrum", {"coeffs": [{"k": 1, "re": 1e308}, {"k": 3, "re": 1e308}]}, [], 3, "non-finite"),
         # the default fit range comes from the h^0 norm
-        ("gaps", {"mean": 1e308, "coeffs": []}, [], 2, "no default fit range"),
+        ("gaps", {"mean": 1e308, "coeffs": []}, [], 3, "no default fit range"),
         # the summability report squares Python floats: a valid coefficient whose norm overflows
         ("verify", {"coeffs": [{"k": 1, "re": 1e200}]}, [], 3, "coefficient norm overflows"),
         # the square is finite, the weighted sum is not

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -253,7 +254,10 @@ def _verify_battery(q: Potential, weights, args) -> tuple[dict, bool]:
     record("rho_two_route_equality", worst <= 1e-14, {"max_abs_diff": worst})
 
     # coefficient-norm consistency
-    diff = abs(hormander_norm(q, power_weight(1.0)) - weighted_norm(q.two_sided(), power_weight(1.0)))
+    norms = (hormander_norm(q, power_weight(1.0)), weighted_norm(q.two_sided(), power_weight(1.0)))
+    if not all(math.isfinite(x) for x in norms):
+        raise NumericalError(f"coefficient norm overflows: h^1 norms {norms[0]!r} and {norms[1]!r}")
+    diff = abs(norms[0] - norms[1])
     record("coefficient_norm_consistency", diff == 0.0, {"abs_diff": diff})
 
     # spectrum, residuals, triangle inequality
@@ -378,7 +382,7 @@ def cmd_converge(args) -> int:
         diffs = [r.get("abs_change") for r in rows[1:]]
         orders = []
         for i in range(len(diffs) - 1):
-            if diffs[i + 1] > 0:
+            if diffs[i] > 0 and diffs[i + 1] > 0:
                 orders.append(float(np.log2(diffs[i] / diffs[i + 1])))
         if orders:
             rows.append({"estimated_order": orders})

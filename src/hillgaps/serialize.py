@@ -11,6 +11,7 @@ import csv
 import io
 import json
 
+from .errors import NumericalError
 from .gaps import GapReport, TailTable
 from .spectrum import BandEdges, CrossValidation
 
@@ -122,6 +123,10 @@ def cross_to_doc(cv: CrossValidation) -> dict:
 
 
 def dump_json(doc: dict) -> str:
+    """Strict JSON: a non-finite value is a numerical failure, never a bare NaN or Infinity."""
     wrapped = {"schema": JSON_SCHEMA}
     wrapped.update(doc)
-    return json.dumps(wrapped, indent=2) + "\n"
+    try:
+        return json.dumps(wrapped, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in the JSON report: {exc}") from exc

@@ -12,6 +12,7 @@ share no numerics, which makes their agreement a meaningful check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -251,6 +252,104 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
 
+def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: np.ndarray, work: np.ndarray):
+    """E = M - I of the propagator M of each step, into ``out`` as E11, E12, E21, E22.
+
+    ``qa``/``qb`` hold q at the two Gauss points of each step.  With their
+    mean qbar, the commutator term d = sqrt3/12 h^2 (q_a - q_b), wbar =
+    qbar - lambda and mu^2 = d^2 + h^2 wbar, M = [[c + s d, s h],
+    [s h wbar, c - s d]] where c = cos m, s = sin(m)/m (mu^2 < 0) or
+    c = cosh m, s = sinh(m)/m.  In the half angle x = m/2, c - 1 =
+    -2 sin^2 x (or 2 sinh^2 x) and s = sin x cos x / x, so each deviation,
+    O(h), keeps its full relative precision.  ``work`` holds three arrays
+    of the shape of one entry for the intermediates.
+    """
+    dt = lams.dtype
+    hq = h * (dt.type(0.5) * (qa + qb))
+    d = dt.type(math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+    x, sn, cs = work
+    quarter = dt.type(0.25)
+    # x^2 = mu^2 / 4, signed
+    np.subtract((quarter * (d * d + h * hq))[:, None], (quarter * h * h) * lams, out=x)
+    trig = x < 0.0
+    hyp = ~trig
+    np.abs(x, out=x)
+    np.sqrt(x, out=x)
+    # below 1e-20, sin x / x and sinh x / x are 1 and sin^2 x is below
+    # 1e-40; the clamp only keeps x = 0 from giving 0/0
+    np.maximum(x, dt.type(1e-20), out=x)
+    for f_sn, f_cs, where in ((np.sin, np.cos, trig), (np.sinh, np.cosh, hyp)):
+        if where.all():
+            f_sn(x, out=sn)
+            f_cs(x, out=cs)
+        elif where.any():
+            sn[where] = f_sn(x[where])
+            cs[where] = f_cs(x[where])
+    c1 = out[3]
+    np.multiply(sn, sn, out=c1)
+    c1 *= dt.type(-2.0)  # c - 1
+    if hyp.any():
+        np.negative(c1, out=c1, where=hyp)
+    s = sn
+    s *= cs
+    s /= x
+    np.multiply(s, h, out=out[1])
+    np.subtract(hq[:, None], h * lams, out=out[2])  # h wbar
+    out[2] *= s
+    np.multiply(s, d[:, None], out=x)
+    np.add(c1, x, out=out[0])
+    np.subtract(c1, x, out=out[3])
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_reversed(n: int) -> np.ndarray:
+    """Indices 0..n-1 (n a power of two) in bit-reversed order.
+
+    Leaves stored in this order put the earlier and the later factor of
+    every pair of a perfect binary tree in the two halves of each level.
+    """
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    rev.flags.writeable = False
+    return rev
+
+
+def _combine(left: np.ndarray, right: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out`` = E of (I + left)(I + right), that is left + right + left right.
+
+    ``left`` is the later run.  The sums are grouped around the shared
+    factors 1 + left_11 and 1 + left_22: each rounds at 1 but multiplies an
+    O(h) entry, so the product keeps the relative precision of E.  ``out``
+    must not overlap the operands; ``tmp`` holds three arrays of its shape.
+    """
+    l11, l12, l21, l22 = left
+    r11, r12, r21, r22 = right
+    a11, a22, t = tmp
+    np.add(l11, 1.0, out=a11)
+    np.add(l22, 1.0, out=a22)
+    # out11 = l11 + a11 r11 + l12 r21, out22 = l22 + a22 r22 + l21 r12
+    np.multiply(a11, r11, out=out[0])
+    np.add(out[0], l11, out=out[0])
+    np.multiply(l12, r21, out=t)
+    np.add(out[0], t, out=out[0])
+    np.multiply(a22, r22, out=out[3])
+    np.add(out[3], l22, out=out[3])
+    np.multiply(l21, r12, out=t)
+    np.add(out[3], t, out=out[3])
+    # out12 = a11 r12 + l12 (1 + r22), out21 = a22 r21 + l21 (1 + r11)
+    np.multiply(a11, r12, out=out[1])
+    np.add(r22, 1.0, out=t)
+    np.multiply(t, l12, out=t)
+    np.add(out[1], t, out=out[1])
+    np.multiply(a22, r21, out=out[2])
+    np.add(r11, 1.0, out=t)
+    np.multiply(t, l21, out=t)
+    np.add(out[2], t, out=out[2])
+
+
 class _Propagator:
     """Vectorized fixed-step 4th-order integration of the fundamental system.
 
@@ -260,9 +359,19 @@ class _Propagator:
     amplitude, which is what keeps trace values honest near band edges
     where the roots of trace -+ 2 live.  The potential is sampled once per
     step count at the two Gauss points of every step; calls batch an
-    array of spectral parameters through the same sweep.  The unit
-    Wronskian of the fundamental pair remains the on-line accuracy
-    witness: on failure the step count doubles, twice at most.
+    array of spectral parameters through the same sweep.
+
+    A sweep multiplies the step propagators as a tree, not one step after
+    another.  The steps split into aligned power-of-two runs, at most
+    ``_BLOCK_ELEMS`` steps x lambdas at a time; each run is reduced level
+    by level, neighbours pairwise, and equal runs merge as in a binary
+    counter.  The grouping depends on the step count alone, so a lambda
+    gets the same bits in any batch.  Every partial product is carried as
+    its deviation E from the identity, (I + L)(I + R) = I + (L + R + L R),
+    so the O(h) step deviations keep their relative precision and the
+    rounding grows with the tree depth, not with the step count.  The
+    trace is 2 + E11 + E22.  The Wronskian det(I + E) remains the on-line
+    accuracy witness: on failure the step count doubles, twice at most.
     ``extended=True`` runs the sweep in extended precision, which the
     hump classification of near-collapsed gaps needs.
     """
@@ -288,45 +397,51 @@ class _Propagator:
 
     @staticmethod
     def _sweep(qa: np.ndarray, qb: np.ndarray, steps: int, lams: np.ndarray):
+        nl = lams.size
+        block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
         dt = qa.dtype
-        one = dt.type(1.0)
-        h = one / dt.type(steps)
-        comm = dt.type(math.sqrt(3.0) / 12.0) * h * h
-        h2 = h * h
-        tiny = dt.type(1e-8)
-        u = np.zeros((2, lams.size), dtype=dt)
-        p = np.zeros((2, lams.size), dtype=dt)
-        u[0] = one
-        p[1] = one
-        # step propagators are built as arrays for a block of steps at a time,
-        # each branch only where it applies, then multiplied in step by step
-        block = max(1, _BLOCK_ELEMS // lams.size)
-        for i0 in range(0, steps, block):
-            w1 = qa[i0 : i0 + block, None] - lams
-            w2 = qb[i0 : i0 + block, None] - lams
-            wbar = dt.type(0.5) * (w1 + w2)
-            d = comm * (w1 - w2)
-            mu2 = d * d + h2 * wbar
-            m = np.sqrt(np.abs(mu2))
-            pos = mu2 >= 0.0
-            trig = ~pos
-            small = m < tiny
-            c = np.empty_like(m)
-            c[pos] = np.cosh(m[pos])
-            c[trig] = np.cos(m[trig])
-            m_safe = np.where(small, one, m)
-            s = np.empty_like(m)
-            s[pos] = np.sinh(m_safe[pos])
-            s[trig] = np.sin(m_safe[trig])
-            s /= m_safe
-            s[small] = one + mu2[small] / dt.type(6.0)
-            sd = s * d
-            for m11, m12, m21, m22 in zip(c + sd, s * h, s * (h * wbar), c - sd):
-                un = m11 * u + m12 * p
-                p = m21 * u + m22 * p
-                u = un
-        delta = u[0] + p[1]
-        wronskian = u[0] * p[1] - p[0] * u[1]
+        bufs = (np.empty((4, block, nl), dtype=dt), np.empty((4, max(1, block // 2), nl), dtype=dt))
+        tmp = np.empty((3, max(1, block // 2), nl), dtype=dt)
+        work = np.empty((3, block, nl), dtype=dt)
+        h = dt.type(1.0) / dt.type(steps)
+        stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
+        free: list = []  # spent run arrays, reused so that large batches do not page-fault
+
+        def take():
+            return free.pop() if free else np.empty((4, nl), dtype=dt)
+
+        def merge(later, earlier):
+            out = take()
+            _combine(later, earlier, out, tmp[:, 0])
+            free.extend((later, earlier))
+            return out
+
+        i0 = 0
+        while i0 < steps:
+            # the largest power-of-two chunk that fits, at most a block; it is
+            # aligned, so the runs are the binary decomposition of steps
+            n = min(block, 1 << ((steps - i0).bit_length() - 1))
+            at = i0 + _bit_reversed(n)
+            e = bufs[0]
+            _step_deviations(qa[at], qb[at], h, lams, e[:, :n], work[:, :n])
+            i0 += n
+            length, side = n, 0
+            while n > 1:  # in bit-reversed order, each level pairs the two contiguous halves
+                n //= 2
+                side = 1 - side
+                _combine(e[:, n : 2 * n], e[:, :n], bufs[side][:, :n], tmp[:, :n])
+                e = bufs[side]
+            run = take()
+            run[...] = e[:, 0]
+            while stack and stack[-1][0] == length:
+                run, length = merge(run, stack.pop()[1]), 2 * length
+            stack.append((length, run))
+        run = stack.pop()[1]
+        while stack:  # fold the binary decomposition of steps, latest run first
+            run = merge(run, stack.pop()[1])
+        e11, e12, e21, e22 = run
+        delta = 2.0 + (e11 + e22)
+        wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
         return delta, wronskian
 
     def delta(self, lams, extended: bool = False) -> np.ndarray:
@@ -357,14 +472,14 @@ def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = Discriminan
     return float(_Propagator(q, cfg.steps).delta(lam)[0])
 
 
-def _band_probes(prop: _Propagator, shift: float, n_max: int) -> np.ndarray:
+def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
     """One spectral point strictly inside each band 0..n_max (|trace| < 2)."""
-    probes = shift + (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2
+    probes = (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2
     vals = prop.delta(probes)
     bad = np.where(np.abs(vals) >= 2.0)[0]
     for n in bad:
-        lo = shift + (np.pi * n) ** 2
-        hi = shift + (np.pi * (n + 1)) ** 2
+        lo = (np.pi * n) ** 2
+        hi = (np.pi * (n + 1)) ** 2
         found = False
         count = 17
         for _ in range(3):
@@ -381,9 +496,9 @@ def _band_probes(prop: _Propagator, shift: float, n_max: int) -> np.ndarray:
     return probes
 
 
-def _lambda0_left(prop: _Propagator, q: Potential) -> float:
+def _lambda0_left(prop: _Propagator) -> float:
     """A point left of the spectrum, where the trace exceeds 2."""
-    lo = q.mean - q.l1_bound() - 1.0
+    lo = -prop.q.l1_bound() - 1.0
     width = 1.0
     for _ in range(60):
         if float(prop.delta(lo)[0]) > 2.0:
@@ -473,18 +588,19 @@ def band_edges_discriminant(
 ) -> BandEdges:
     """Band edges as roots of trace(lambda) = +/- 2.
 
-    Brackets start from the free-operator layout shifted by the mean,
-    expand until the sign conditions hold, and refine by bisection plus a
-    safeguarded secant.  Where the target value is a double root (a
-    collapsed gap) no sign change exists; the hump of the trace is then
-    localized directly and the pair reported with identical edges.
+    The mean-free potential is solved and the mean added back to every
+    edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
+    - mean).  Brackets start from the free-operator layout, expand until
+    the sign conditions hold, and refine by bisection plus a safeguarded
+    secant.  Where the target value is a double root (a collapsed gap) no
+    sign change exists; the hump of the trace is then localized directly
+    and the pair reported with identical edges.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    prop = _Propagator(q, cfg.steps)
-    shift = q.mean
-    probes = _band_probes(prop, shift, n_max)
-    left0 = _lambda0_left(prop, q)
+    prop = _Propagator(q.without_mean(), cfg.steps)
+    probes = _band_probes(prop, n_max)
+    left0 = _lambda0_left(prop)
 
     signs = np.array([1.0 if n % 2 == 0 else -1.0 for n in range(1, n_max + 1)])
 
@@ -632,8 +748,8 @@ def band_edges_discriminant(
         collapsed[n] = True
 
     edges = BandEdges(
-        lambda0=lam0,
-        pairs=tuple((lo, hi) for lo, hi in pairs),
+        lambda0=lam0 + q.mean,
+        pairs=tuple((lo + q.mean, hi + q.mean) for lo, hi in pairs),
         method="discriminant",
         resolution=prop.steps,
         collapsed=tuple(collapsed),

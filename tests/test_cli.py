@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillgaps import potential_to_dict, mathieu, power_decay, from_fourier
-from hillgaps import spectrum
+from hillgaps import NumericalError, serialize, spectrum
 from hillgaps.cli import main
 
 HUGE_K = {"coeffs": [{"k": 1000000000000, "re": 0.1}]}
@@ -98,8 +98,17 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
         ("verify", {"coeffs": [{"k": 1, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
         # the order argument alone overflows the weight (1+2m)^(2s)
         ("verify", {"coeffs": [{"k": 1, "re": 0.1}]}, ["--mo-s", "400"], 2, "summability order s=400"),
+        # outside the summability range, the h^1 norms of the consistency check overflow
+        ("verify", {"coeffs": [{"k": 2, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
     ],
-    ids=["spectrum-matrix", "gaps-fit-range", "verify-summability", "verify-summability-sum", "verify-mo-s"],
+    ids=[
+        "spectrum-matrix",
+        "gaps-fit-range",
+        "verify-summability",
+        "verify-summability-sum",
+        "verify-mo-s",
+        "verify-norm-consistency",
+    ],
 )
 def test_overflow_exit_codes(files, capsys, command, doc, extra, code, message):
     big = files["dir"] / "big.json"
@@ -392,26 +401,73 @@ CLI_WEIGHTS = (
 )
 
 
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} in a JSON output")
+
+
+def _run_contract(d: Path, pot, argv: list[str], weights=()) -> None:
+    """Run main on a written potential; assert the exit-code contract and strict JSON outputs.
+
+    main runs in process, so an exception escaping it (the traceback a user
+    would see) fails the example by itself.  Every JSON file written under
+    ``d/out`` must parse without NaN or Infinity.
+    """
+    (d / "q.json").write_text(json.dumps(pot), encoding="utf-8")
+    argv = [argv[0], "--potential", str(d / "q.json"), *argv[1:]]
+    for i, w in enumerate(weights):
+        (d / f"w{i}.json").write_text(json.dumps(w), encoding="utf-8")
+        argv += ["--weight", str(d / f"w{i}.json")]
+    (d / "out").mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--out", str(d / "out" / "report")])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    for path in (d / "out").iterdir():
+        text = path.read_text(encoding="utf-8")
+        if text.startswith("{"):
+            json.loads(text, parse_constant=_reject_constant)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(["spectrum", "gaps", "verify"]),
     nmax=st.integers(1, 6),
     pot=CLI_POTENTIALS,
     weights=st.lists(CLI_WEIGHTS, max_size=2),
+    fmt=st.sampled_from(["csv", "json"]),
 )
-@example(command="spectrum", nmax=2, pot=HUGE_K, weights=[])
-def test_cli_exit_code_contract(command, nmax, pot, weights):
-    # main runs in process, so an exception escaping it (the traceback a user
-    # would see) fails the example by itself
+@example(command="spectrum", nmax=2, pot=HUGE_K, weights=[], fmt="csv")
+@example(command="verify", nmax=1, pot={"coeffs": [{"k": 2, "re": 1e154}]}, weights=[], fmt="json")
+def test_cli_exit_code_contract(command, nmax, pot, weights, fmt):
+    argv = [command, "--nmax", str(nmax), "--method", "galerkin", "--format", fmt]
     with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        (d / "q.json").write_text(json.dumps(pot), encoding="utf-8")
-        argv = [command, "--potential", str(d / "q.json"), "--nmax", str(nmax), "--method", "galerkin"]
-        for i, w in enumerate(weights if command != "spectrum" else []):
-            (d / f"w{i}.json").write_text(json.dumps(w), encoding="utf-8")
-            argv += ["--weight", str(d / f"w{i}.json")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(argv)
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+        _run_contract(Path(tmp), pot, argv, weights if command != "spectrum" else ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    argv=st.sampled_from(
+        [
+            ["spectrum", "--method", "discriminant"],
+            ["spectrum", "--method", "both", "--format", "json"],
+            ["converge", "--target", "steps", "--sweep", "256,512,1024", "--format", "json"],
+        ]
+    ),
+    nmax=st.integers(1, 4),
+    pot=CLI_POTENTIALS,
+    lam=st.sampled_from(["-30", "0", "10", "1e6", "nan"]),
+)
+# both routes solve the mean-free potential and add a huge mean back
+@example(argv=["spectrum", "--method", "both", "--format", "json"], nmax=2, pot={"mean": 1e308, "coeffs": []},
+         lam="0")
+def test_cli_exit_code_contract_discriminant(argv, nmax, pot, lam):
+    extra = ["--lam", lam] if argv[0] == "converge" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_contract(Path(tmp), pot, [*argv, "--nmax", str(nmax), "--steps", "256", *extra])
+
+
+def test_dump_json_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericalError, match="non-finite"):
+            serialize.dump_json({"x": [1.0, bad]})

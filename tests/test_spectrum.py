@@ -219,6 +219,55 @@ def test_sweep_batch_invariance(extended):
         assert np.array_equal(prop.delta(batch, extended=extended)[at], alone)
 
 
+def _sequential_trace(qa: np.ndarray, qb: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Test oracle: the monodromy trace multiplied in step by step, in extended precision.
+
+    Each step is the exact exponential of the two-point Gauss average of the
+    coefficient matrix, applied to the fundamental pair one step at a time.
+    ``qa``/``qb`` are the potential at the Gauss points, in ``np.longdouble``.
+    """
+    ld = np.longdouble
+    h = ld(1) / ld(qa.size)
+    lams = np.asarray(lams, dtype=float).astype(ld)
+    u = np.array([np.ones_like(lams), np.zeros_like(lams)])
+    p = u[::-1].copy()
+    for wa, wb in zip(qa, qb):
+        w1, w2 = wa - lams, wb - lams
+        wbar = (w1 + w2) / 2
+        d = ld(np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
+        mu2 = d * d + h * h * wbar
+        m = np.sqrt(np.abs(mu2))
+        hyp = mu2 >= 0
+        c = np.where(hyp, np.cosh(np.where(hyp, m, 0)), np.cos(m))
+        s = np.where(hyp, np.sinh(np.where(hyp, m, 0)), np.sin(m)) / np.where(m > 0, m, 1)
+        s = np.where(m > 0, s, 1)
+        m11, m12, m21, m22 = c + s * d, s * h, s * h * wbar, c - s * d
+        u, p = m11 * u + m12 * p, m21 * u + m22 * p
+    return u[0] + p[1]
+
+
+@pytest.mark.parametrize("steps", [256, 1000, 2048, 4096])
+def test_sweep_closed_forms_zero_potential(steps):
+    # the step-by-step product reached 6.0e-13 here (4096 steps, lambda <= -1)
+    lams = np.array([-25.0, -1.0, 0.0, np.pi**2 / 4, 10.0, 50.0, 500.0, 2000.0])
+    root = np.sqrt(np.abs(lams))
+    exact = np.where(lams < 0, 2 * np.cosh(root), 2 * np.cos(root))
+    got = _Propagator(ZERO, steps).delta(lams)
+    assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) <= 5e-14
+
+
+@pytest.mark.parametrize("steps", [1000, 2048])
+def test_sweep_matches_sequential_oracle(steps):
+    prop = _Propagator(mathieu(0.5), steps)
+    qa, qb = prop._grid(np.dtype(np.longdouble))
+    lams = np.linspace(-50.0, 2000.0, 924)
+    ref = _sequential_trace(qa, qb, lams)
+    for size in (1, 17, 924):
+        at = np.linspace(0, lams.size - 1, size).astype(int) if size > 1 else [lams.size // 2]
+        got = prop.delta(lams[at])
+        assert np.max(np.abs(got - ref[at]) / np.maximum(1.0, np.abs(ref[at]))) <= 1e-13
+
+
 def test_discriminant_config_validation():
     with pytest.raises(InputError):
         DiscriminantConfig(steps=128)

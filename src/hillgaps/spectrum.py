@@ -28,6 +28,14 @@ EDGE_RTOL = 1e-10
 _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
 _BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
 _ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
+_MAX_REFINE = 200  # refinement steps before a bracket that will not close is an error
+# height of a trace hump past +-2, in double precision: above _HUMP_OPEN
+# double refines the gap; above _HUMP_SEEN it still sees the hump, and the
+# gap refines in extended precision; a zoom window whose values span less
+# than _HUMP_SEEN no longer locates the hump.  In extended precision a hump
+# above _HUMP_SEEN is an open gap
+_HUMP_OPEN = 1e-10
+_HUMP_SEEN = 1e-12
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
@@ -126,6 +134,7 @@ class BandEdges:
 # ----------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # entries that overflow are reported as non-finite edges
 def galerkin_matrix(q: Potential, parity: str, n_trunc: int) -> np.ndarray:
     """Truncated operator matrix in the real periodic or semiperiodic basis.
 
@@ -372,12 +381,14 @@ class _Propagator:
     rounding grows with the tree depth, not with the step count.  The
     trace is 2 + E11 + E22.  The Wronskian det(I + E) remains the on-line
     accuracy witness: on failure the step count doubles, twice at most.
-    ``extended=True`` runs the sweep in extended precision, which the
-    hump classification of near-collapsed gaps needs.
+    A non-finite trace or witness is an overflow, which more steps cannot
+    cure, so it raises at once.  ``extended=True`` runs the sweep in
+    extended precision, which humps too low for double precision need.
     """
 
     def __init__(self, q: Potential, steps: int):
         self.q = q
+        self.requested = steps
         self.steps = steps
         self.retries_left = _MAX_STEP_RETRIES
         self._grid_for = 0
@@ -444,12 +455,18 @@ class _Propagator:
         wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
         return delta, wronskian
 
+    @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
     def delta(self, lams, extended: bool = False) -> np.ndarray:
         dtype = np.dtype(np.longdouble) if extended else np.dtype(float)
         lams = np.atleast_1d(np.asarray(lams, dtype=float)).astype(dtype)
         while True:
             qa, qb = self._grid(dtype)
             delta, wronskian = self._sweep(qa, qb, self.steps, lams)
+            if not (np.isfinite(delta).all() and np.isfinite(wronskian).all()):
+                raise IntegrationError(
+                    f"non-finite monodromy trace or Wronskian at steps={self.steps} "
+                    f"({self.requested} requested): the solution overflows"
+                )
             drift = float(np.max(np.abs(wronskian - 1.0)))
             if drift <= _WRONSKIAN_LIMIT:
                 return delta
@@ -460,6 +477,7 @@ class _Propagator:
             self.retries_left -= 1
             self.steps *= 2
 
+    @np.errstate(all="ignore")
     def wronskian_drift(self, lams) -> float:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         qa, qb = self._grid(np.dtype(float))
@@ -523,64 +541,61 @@ def _parabolic_peak(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _refine_roots(fn, a, fa, b, fb):
-    """Batched bisection then safeguarded secant on sign-changing brackets.
+    """Batched safeguarded secant on sign-changing brackets, each to ``_ROOT_TOL``.
 
     ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
-    opposite sign (or zero); returns the refined roots.
+    opposite sign (or zero); ``fn(x, idx)`` evaluates f of the edges
+    ``idx`` at ``x``.  Each step tries the secant through the two points
+    of an edge with the smallest |f| so far, inside its live bracket.  A
+    secant step that moves less than half the tolerance is pushed out to
+    half the tolerance, so the bracket can close from the far side, and a
+    secant step that fails to halve the bracket is followed by a
+    bisection.  An edge leaves the batch once its bracket is at most
+    ``_ROOT_TOL (1 + |lambda|)`` wide or it hits an exact zero; returns the
+    endpoint with the smaller |f| of each bracket.  Raises BracketError if
+    any bracket is still open after ``_MAX_REFINE`` steps.
     """
-    a = a.copy()
-    b = b.copy()
-    fa = fa.copy()
-    fb = fb.copy()
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     # an exact zero at an endpoint is already the root
     hit = fa == 0.0
-    b = np.where(hit, a, b)
-    fb = np.where(hit, fa, fb)
+    b, fb = np.where(hit, a, b), np.where(hit, fa, fb)
     hit = fb == 0.0
-    a = np.where(hit, b, a)
-    fa = np.where(hit, fb, fa)
-
-    def widths_ok():
-        return np.all(np.abs(b - a) <= _ROOT_TOL * (1.0 + np.abs(b)))
-
-    def place(x, fx):
-        nonlocal a, b, fa, fb
-        exact = fx == 0.0
-        a = np.where(exact, x, a)
-        fa = np.where(exact, 0.0, fa)
-        b = np.where(exact, x, b)
-        fb = np.where(exact, 0.0, fb)
-        left = ~exact & (np.sign(fx) == np.sign(fa))
-        a = np.where(left, x, a)
-        fa = np.where(left, fx, fa)
-        right = ~exact & ~left
-        b = np.where(right, x, b)
-        fb = np.where(right, fx, fb)
-
-    # bisection: cut the brackets to a secant-friendly size
-    for _ in range(8):
-        if widths_ok():
-            break
-        mid = 0.5 * (a + b)
-        place(mid, fn(mid))
-    # secant with bisection fallback, always inside the live bracket
-    x0, f0 = a.copy(), fa.copy()
-    x1, f1 = b.copy(), fb.copy()
-    for _ in range(14):
-        if widths_ok():
-            break
-        denom = f1 - f0
-        safe = denom != 0.0
-        cand = np.where(safe, x1 - f1 * (x1 - x0) / np.where(safe, denom, 1.0), 0.5 * (a + b))
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        inside = (cand > lo) & (cand < hi)
-        cand = np.where(inside, cand, 0.5 * (a + b))
-        fc = fn(cand)
-        place(cand, fc)
-        x0, f0 = x1, f1
-        x1, f1 = cand, fc
-    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+    a, fa = np.where(hit, b, a), np.where(hit, fb, fa)
+    a_best = np.abs(fa) <= np.abs(fb)
+    x0, f0 = np.where(a_best, b, a), np.where(a_best, fb, fa)
+    x1, f1 = np.where(a_best, a, b), np.where(a_best, fa, fb)
+    bisect = np.zeros(a.size, dtype=bool)
+    for _ in range(_MAX_REFINE):
+        width = np.abs(b - a)
+        tol = _ROOT_TOL * (1.0 + np.abs(b))
+        live = np.flatnonzero(width > tol)
+        if live.size == 0:
+            return np.where(np.abs(fa) <= np.abs(fb), a, b)
+        la, lb, lx0, lx1, lf0, lf1 = a[live], b[live], x0[live], x1[live], f0[live], f1[live]
+        mid = 0.5 * (la + lb)
+        denom = lf1 - lf0
+        secant = ~bisect[live] & (denom != 0.0)
+        cand = lx1 - lf1 * (lx1 - lx0) / np.where(secant, denom, 1.0)
+        half_tol = 0.5 * tol[live]
+        cand = np.where(np.abs(cand - lx1) < half_tol, lx1 + np.copysign(half_tol, cand - lx1), cand)
+        secant &= (cand > np.minimum(la, lb)) & (cand < np.maximum(la, lb))
+        cand = np.where(secant, cand, mid)
+        fc = np.asarray(fn(cand, live), dtype=float)
+        # cand replaces the endpoint of its sign; an exact zero closes the bracket
+        exact = fc == 0.0
+        left = exact | (np.sign(fc) == np.sign(fa[live]))
+        right = exact | ~left
+        a[live], fa[live] = np.where(left, cand, la), np.where(left, fc, fa[live])
+        b[live], fb[live] = np.where(right, cand, lb), np.where(right, fc, fb[live])
+        bisect[live] = secant & (np.abs(b[live] - a[live]) > 0.5 * width[live])
+        # x1 holds the point with the smallest |f|, x0 the runner-up
+        best = np.abs(fc) < np.abs(lf1)
+        second = ~best & (np.abs(fc) < np.abs(lf0))
+        x0[live] = np.where(best, lx1, np.where(second, cand, lx0))
+        f0[live] = np.where(best, lf1, np.where(second, fc, lf0))
+        x1[live], f1[live] = np.where(best, cand, lx1), np.where(best, fc, lf1)
+    i = int(np.flatnonzero(np.abs(b - a) > _ROOT_TOL * (1.0 + np.abs(b)))[0])
+    raise BracketError(f"bracket [{a[i]!r}, {b[i]!r}] still open after {_MAX_REFINE} refinement steps")
 
 
 def band_edges_discriminant(
@@ -590,11 +605,13 @@ def band_edges_discriminant(
 
     The mean-free potential is solved and the mean added back to every
     edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
-    - mean).  Brackets start from the free-operator layout, expand until
-    the sign conditions hold, and refine by bisection plus a safeguarded
-    secant.  Where the target value is a double root (a collapsed gap) no
-    sign change exists; the hump of the trace is then localized directly
-    and the pair reported with identical edges.
+    - mean).  A coarse scan between band probes and a zoom on each hump of
+    the trace find the brackets, which a safeguarded secant refines to
+    ``_ROOT_TOL``.  Both run in double precision wherever it resolves the
+    hump, and in extended precision where it does not.  Where the target
+    value is a double root (a collapsed gap) no sign change exists; the hump
+    of the trace is then localized directly and the pair reported with
+    identical edges.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -604,71 +621,83 @@ def band_edges_discriminant(
 
     signs = np.array([1.0 if n % 2 == 0 else -1.0 for n in range(1, n_max + 1)])
 
-    # coarse scan of each inter-band window, all gaps in one batch;
-    # gx/gg hold the evaluated grid per gap (refined in place by the zoom)
-    scan_pts = 33
-    scan = np.stack([np.linspace(probes[n - 1], probes[n], scan_pts) for n in range(1, n_max + 1)])
-    scan_g = signs[:, None] * prop.delta(scan.ravel()).reshape(n_max, scan_pts)
-    gx = [scan[n] for n in range(n_max)]
-    gg = [scan_g[n] for n in range(n_max)]
-
-    # zoom on windows whose scan saw no point inside the gap: shrink around
-    # the hump of the trace in extended precision until the hump either
-    # clearly tops 2 (tiny open gap) or the window reaches the width floor,
-    # where a parabola fit separates a real hump from the noise floor
-    pending = [n for n in range(n_max) if not np.any(gg[n] > 2.0 + 1e-10)]
-    zoom_found: list[int] = []
+    # the coarse scan of each inter-band window, then a zoom on the hump of
+    # the trace; gx/gg hold each gap's last evaluated grid.  One precision
+    # rule judges every grid evaluated in double precision: a hump above
+    # 2 + _HUMP_OPEN is refined in double, one above 2 + _HUMP_SEEN in
+    # extended precision; a grid whose values span less than _HUMP_SEEN, or
+    # one at the width floor, is evaluated again in extended precision and
+    # its gap zooms in extended from there on.  In extended precision a
+    # hump above 2 + _HUMP_SEEN is refined; at the width floor a parabola
+    # fit separates a real hump from the noise floor
+    windows = {n: np.linspace(probes[n], probes[n + 1], 33) for n in range(n_max)}
+    gx: dict[int, np.ndarray] = {}
+    gg: dict[int, np.ndarray] = {}
+    extended_refine: list[int] = []
     collapsed_at: dict[int, float] = {}
+    in_extended: set[int] = set()
     zoom_pts = 17
-    for _ in range(40):
+    pending = list(range(n_max))
+    for _ in range(41):  # the scan and at most 40 zoom steps
         if not pending:
             break
-        windows = {}
-        for n in pending:
-            i = int(np.argmax(gg[n]))
-            i = min(max(i, 1), gx[n].size - 2)
-            windows[n] = np.linspace(gx[n][i - 1], gx[n][i + 1], zoom_pts)
-        batch = np.concatenate([windows[n] for n in pending])
-        vals = prop.delta(batch, extended=True).reshape(len(pending), zoom_pts)
+        for extended in (False, True):
+            ns = [n for n in pending if (n in in_extended) == extended]
+            if not ns:
+                continue
+            vals = prop.delta(np.concatenate([windows[n] for n in ns]), extended=extended)
+            for n, v in zip(ns, np.split(vals, np.cumsum([windows[n].size for n in ns])[:-1])):
+                gx[n], gg[n] = windows[n], signs[n] * v
         still = []
-        for row, n in enumerate(pending):
-            gx[n] = windows[n]
-            gg[n] = signs[n] * vals[row]
-            if np.any(gg[n] > 2.0 + 1e-12):
-                zoom_found.append(n)
-                continue
-            width = float(gx[n][-1] - gx[n][0])
-            if width > 1e-8 * (1.0 + abs(float(gx[n][0]))):
-                still.append(n)
-                continue
-            # width floor: quadratic model of the hump against its residuals;
-            # the subtraction happens in extended precision, the fit in double
-            center = float(gx[n][zoom_pts // 2])
-            z = gx[n] - center
-            y = np.asarray(gg[n] - 2.0, dtype=float)
-            c2, c1, c0 = np.polyfit(z, y, 2)
-            rms = float(np.sqrt(np.mean((y - np.polyval([c2, c1, c0], z)) ** 2)))
-            height = c0 - c1 * c1 / (4.0 * c2) if c2 < 0 else float(np.max(y))
-            if c2 < 0 and height > max(6.0 * rms, 3e-14):
-                peak = float(np.clip(center - c1 / (2.0 * c2), gx[n][1], gx[n][-2]))
-                gpk = signs[n] * prop.delta(np.array([peak]), extended=True)[0]
-                if gpk > 2.0:
-                    j = int(np.searchsorted(gx[n], peak))
-                    gx[n] = np.insert(gx[n], j, peak)
-                    gg[n] = np.insert(gg[n], j, gpk)
-                    zoom_found.append(n)
+        for n in pending:
+            x, g = gx[n], gg[n]
+            at_floor = float(x[-1] - x[0]) <= 1e-8 * (1.0 + abs(float(x[0])))
+            if n not in in_extended:
+                if g.max() > 2.0 + _HUMP_OPEN:
                     continue
-            i = min(max(int(np.argmax(gg[n])), 1), zoom_pts - 2)
-            collapsed_at[n] = _parabolic_peak(
-                np.asarray(gx[n][i - 1 : i + 2], dtype=float),
-                np.asarray(gg[n][i - 1 : i + 2], dtype=float),
-            )
+                if g.max() > 2.0 + _HUMP_SEEN:
+                    extended_refine.append(n)
+                    continue
+                if g.max() - g.min() < _HUMP_SEEN or at_floor:
+                    in_extended.add(n)  # the same window again, in extended precision
+                    still.append(n)
+                    continue
+            elif g.max() > 2.0 + _HUMP_SEEN:
+                extended_refine.append(n)
+                continue
+            elif at_floor:
+                # quadratic model of the hump against its residuals; the
+                # subtraction happens in extended precision, the fit in double
+                center = float(x[x.size // 2])
+                z = x - center
+                y = np.asarray(g - 2.0, dtype=float)
+                c2, c1, c0 = np.polyfit(z, y, 2)
+                rms = float(np.sqrt(np.mean((y - np.polyval([c2, c1, c0], z)) ** 2)))
+                height = c0 - c1 * c1 / (4.0 * c2) if c2 < 0 else float(np.max(y))
+                if c2 < 0 and height > max(6.0 * rms, 3e-14):
+                    peak = float(np.clip(center - c1 / (2.0 * c2), x[1], x[-2]))
+                    gpk = signs[n] * prop.delta(np.array([peak]), extended=True)[0]
+                    if gpk > 2.0:
+                        j = int(np.searchsorted(x, peak))
+                        gx[n] = np.insert(x, j, peak)
+                        gg[n] = np.insert(g, j, gpk)
+                        extended_refine.append(n)
+                        continue
+                i = min(max(int(np.argmax(g)), 1), x.size - 2)
+                collapsed_at[n] = _parabolic_peak(
+                    np.asarray(x[i - 1 : i + 2], dtype=float),
+                    np.asarray(g[i - 1 : i + 2], dtype=float),
+                )
+                continue
+            i = min(max(int(np.argmax(g)), 1), x.size - 2)
+            windows[n] = np.linspace(x[i - 1], x[i + 1], zoom_pts)
+            still.append(n)
         pending = still
     for n in pending:  # zoom budget exhausted: best point stands as the double root
         collapsed_at[n] = float(gx[n][int(np.argmax(gg[n]))])
 
     # assemble sign-change brackets: lambda_0 plus both edges of each open
-    # gap; gaps only visible in extended precision refine in that mode
+    # gap, the gaps of extended_refine in extended precision
     def brackets_for(ns):
         br_a, br_b, br_sgn, slots = [], [], [], []
         for n in ns:
@@ -687,27 +716,32 @@ def band_edges_discriminant(
             slots.extend(((n, "minus"), (n, "plus")))
         return br_a, br_b, br_sgn, slots
 
-    scan_found = [n for n in range(n_max) if n not in collapsed_at and n not in zoom_found]
-    a1, b1, s1, slots1 = brackets_for(scan_found)
+    double_refine = [n for n in range(n_max) if n not in collapsed_at and n not in extended_refine]
+    a1, b1, s1, slots1 = brackets_for(double_refine)
     a1 = [left0] + a1
     b1 = [float(probes[0])] + b1
     s1 = [1.0] + s1
     slots1 = [(-1, "root0")] + slots1
-    a2, b2, s2, slots2 = brackets_for(zoom_found)
+    a2, b2, s2, slots2 = brackets_for(extended_refine)
 
     def make_f(sv, extended):
         sg = np.array(sv)
 
-        def f_batch(x):
-            return np.asarray(sg * prop.delta(x, extended=extended) - 2.0, dtype=float)
+        def f_batch(x, idx):
+            return np.asarray(sg[idx] * prop.delta(x, extended=extended) - 2.0, dtype=float)
 
         return f_batch
+
+    def at_ends(f, av, bv):  # f at both ends of every bracket, in one sweep
+        k = np.arange(av.size)
+        fab = f(np.concatenate((av, bv)), np.concatenate((k, k)))
+        return fab[: av.size], fab[av.size :]
 
     roots1 = np.empty(0)
     if a1:
         f1 = make_f(s1, extended=False)
         av, bv = np.array(a1), np.array(b1)
-        fa, fb = f1(av), f1(bv)
+        fa, fb = at_ends(f1, av, bv)
         bad = fa * fb > 0.0
         if np.any(bad):
             i = int(np.where(bad)[0][0])
@@ -720,7 +754,7 @@ def band_edges_discriminant(
     if a2:
         f2 = make_f(s2, extended=True)
         av, bv = np.array(a2), np.array(b2)
-        fa, fb = f2(av), f2(bv)
+        fa, fb = at_ends(f2, av, bv)
         # humps at the resolution floor may lose their sign change on
         # re-evaluation; such gaps are numerically collapsed
         drop = sorted({slots2[i][0] for i in np.where(fa * fb > 0.0)[0]})

@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,29 @@ def test_overflow_exit_codes(files, capsys, command, doc, extra, code, message):
     big.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command, "--potential", str(big), "--nmax", "1", *extra]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, method",
+    [
+        # the trace overflows in the first sweep; doubling the steps cannot cure that
+        ({"coeffs": [{"k": 2, "re": 1e154}]}, "discriminant"),
+        ({"coeffs": [{"k": 1, "re": 1e308}, {"k": 3, "re": 1e308}]}, "galerkin"),
+    ],
+    ids=["discriminant", "galerkin"],
+)
+def test_overflow_reports_without_numpy_warnings(files, capsys, doc, method):
+    big = files["dir"] / "big.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["spectrum", "--potential", str(big), "--nmax", "1", "--method", method, "--steps", "256"])
+    assert rc == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "RuntimeWarning" not in err
+    if method == "discriminant":
+        assert "steps=256" in err
 
 
 def test_spectrum_malformed_json_exit_2(files):

@@ -19,7 +19,7 @@ from hillgaps import (
     random_hs,
     two_harmonic,
 )
-from hillgaps.spectrum import _BLOCK_ELEMS, _eigenvalues, _Propagator
+from hillgaps.spectrum import _BLOCK_ELEMS, _ROOT_TOL, _eigenvalues, _Propagator, _refine_roots
 
 ZERO = from_fourier(0.0, [])
 
@@ -197,11 +197,20 @@ def test_wronskian_witness_tiny():
 
 
 def test_step_doubling_then_integration_error():
-    # exp(1000) growth below the spectrum overflows, so the witness never holds
+    # exp(100) growth below the spectrum stays finite, but the Wronskian
+    # loses every digit to cancellation at any step count
     prop = _Propagator(ZERO, 256)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError, match="Wronskian"):
-        prop.delta(-1e6)
+    with pytest.raises(IntegrationError, match="Wronskian"):
+        prop.delta(-1e4)
     assert prop.steps == 1024
+
+
+def test_non_finite_trace_raises_at_once():
+    # exp(1000) growth overflows: more steps cannot cure it, so no doubling
+    prop = _Propagator(ZERO, 256)
+    with pytest.raises(IntegrationError, match=r"non-finite.*steps=256"):
+        prop.delta(-1e6)
+    assert prop.steps == 256
 
 
 @pytest.mark.parametrize("extended", [False, True])
@@ -288,6 +297,59 @@ def test_mathieu_first_gap_near_leading_term():
     edges = band_edges_discriminant(mathieu(0.1), 3)
     gap1 = edges.gaps()[0]
     assert abs(gap1 - 0.2) / 0.2 < 0.05
+
+
+def _count_extended(monkeypatch):
+    """Record every spectral point the discriminant route evaluates in extended precision."""
+    points = []
+    delta = _Propagator.delta
+
+    def counted(self, lams, extended=False):
+        if extended:
+            points.extend(np.atleast_1d(lams).tolist())
+        return delta(self, lams, extended)
+
+    monkeypatch.setattr(_Propagator, "delta", counted)
+    return points
+
+
+def test_narrow_gaps_refine_in_double(monkeypatch):
+    # gaps 3..28 are 4e-2 down to 6e-4 wide, with humps 1e-6 down to 3e-12
+    # above 2: double precision locates every hump (3573 extended
+    # evaluations when every zoom ran in extended precision)
+    points = _count_extended(monkeypatch)
+    cv = cross_validate(power_decay(2.0, 32), 28)
+    assert len(points) <= 1000
+    assert cv.max_rel_discrepancy <= 1e-11
+
+
+def test_low_hump_refines_in_extended(monkeypatch):
+    # the hump of gap 3 stands 1.1e-12 above 2: double precision sees it
+    # but cannot refine it; gaps 4..8 are below the resolution floor
+    points = _count_extended(monkeypatch)
+    cv = cross_validate(mathieu(0.5), 8)
+    lo, hi = cv.discriminant.pairs[2]
+    assert lo in points and hi in points  # both edges are extended-precision evaluations
+    g_lo, g_hi = cv.galerkin.pairs[2]
+    assert abs(lo - g_lo) <= 1e-9 * g_lo and abs(hi - g_hi) <= 1e-9 * g_hi
+    assert cv.discriminant.collapsed == (False,) * 3 + (True,) * 5
+
+
+def test_refine_roots_closes_the_bracket():
+    # the upper edge of the 5e-4-wide n = 2 gap of mathieu(0.1) at 512 steps:
+    # the trace is nearly flat there (slope -3.2e-6), and a fixed bisection
+    # plus secant budget stopped 1.2e-7 short of the root.  Extended
+    # precision keeps the rounding of the trace (1e-19) below its change
+    # across the tolerance (1e-16)
+    prop = _Propagator(mathieu(0.1), 512)
+
+    def f(x, idx=None):
+        return np.asarray(prop.delta(x, extended=True) - 2.0, dtype=float)
+
+    a, b = np.array([39.47841760435743]), np.array([40.7121181544936])
+    r = float(_refine_roots(f, a, f(a), b, f(b))[0])
+    tol = _ROOT_TOL * (1.0 + abs(r))
+    assert f(r - tol)[0] * f(r + tol)[0] <= 0.0
 
 
 def test_cross_method_agreement():

@@ -132,8 +132,9 @@ def cmd_spectrum(args) -> int:
         if args.format == "json":
             _emit(serialize.dump_json(serialize.cross_to_doc(cv)), args.out)
         elif args.out:
-            for edges in (cv.galerkin, cv.discriminant):
-                _write(_sibling(args.out, f".{edges.method}.csv"), serialize.edges_to_csv(edges))
+            tables = [(edges.method, serialize.edges_to_csv(edges)) for edges in (cv.galerkin, cv.discriminant)]
+            for method, text in tables:
+                _write(_sibling(args.out, f".{method}.csv"), text)
         else:
             rows = serialize.edges_rows(cv.galerkin) + serialize.edges_rows(cv.discriminant)
             sys.stdout.write(serialize.to_csv(serialize.EDGE_HEADER, rows))
@@ -199,18 +200,17 @@ def cmd_gaps(args) -> int:
         }
         _emit(serialize.dump_json(doc), args.out)
     else:
-        _emit(serialize.gap_report_to_csv(report), args.out)
-        summary = {
-            "fit_range": {"lo": lo, "hi": hi},
-            "slopes": slopes,
-            "rho_summary": rho_summary,
-        }
+        # every artifact is rendered before any is written: a failing run leaves no partial output
+        table = serialize.gap_report_to_csv(report)
+        summary = serialize.dump_json({"fit_range": {"lo": lo, "hi": hi}, "slopes": slopes, "rho_summary": rho_summary})
         if args.out:
-            _write(_sibling(args.out, ".summary.json"), serialize.dump_json(summary))
-            for i, (name, t) in enumerate(tails.items()):
-                _write(_sibling(args.out, f".tail{i}.csv"), serialize.tail_to_csv(t))
+            tail_csvs = [serialize.tail_to_csv(t) for t in tails.values()]
+            _write(args.out, table)
+            _write(_sibling(args.out, ".summary.json"), summary)
+            for i, text in enumerate(tail_csvs):
+                _write(_sibling(args.out, f".tail{i}.csv"), text)
         else:
-            sys.stdout.write(serialize.dump_json(summary))
+            sys.stdout.write(table + summary)
     return EXIT_OK
 
 

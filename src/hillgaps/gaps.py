@@ -158,8 +158,11 @@ def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> 
     if not 1 <= lo <= hi <= r.size:
         raise InputError(f"n_range {n_range} outside the sequence length {r.size}")
     ns = np.arange(1, r.size + 1)
-    terms = np.asarray(w(ns)) ** 2 * r**2
-    csum = np.cumsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.asarray(w(ns)) ** 2 * r**2
+        csum = np.cumsum(terms)
+    if not np.isfinite(csum[hi - 1]):
+        raise NumericalError(f"weighted tail of {w.describe()} overflows float64 by m = {hi}")
     ms = np.arange(lo, hi + 1)
     inc = terms[lo - 1 : hi]
     drop_from = -1
@@ -260,10 +263,13 @@ def _partial_norms(vals: np.ndarray, w: Weight, lo: int, hi: int) -> list[float]
     """sqrt(sum_{n=lo}^{m} (w(n) vals(n))^2) for m = lo..hi, one running sum in n order."""
     acc = 0.0
     out = []
-    for n in range(lo, hi + 1):
-        wn = float(w(n))
-        acc += (wn * vals[n - 1]) ** 2
-        out.append(math.sqrt(acc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(lo, hi + 1):
+            wn = float(w(n))
+            acc += (wn * vals[n - 1]) ** 2
+            out.append(math.sqrt(acc))
+    if not math.isfinite(acc):
+        raise NumericalError(f"weighted partial norm under {w.describe()} overflows float64 by n = {hi}")
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, as_float, as_int
+from .errors import InputError, NumericalError, as_float, as_int
 
 WEIGHT_KINDS = ("power", "log_power", "example_2_4", "table")
 
@@ -68,10 +68,7 @@ class Weight:
     def __call__(self, k):
         arr = np.asarray(k)
         kabs = np.abs(arr).astype(np.int64)
-        out = self._eval_abs(kabs.astype(float))
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return self._positive(self._eval_abs(kabs.astype(float)), kabs)
 
     def at_real(self, t):
         """Evaluate the symmetric real-argument extension at |t|."""
@@ -81,9 +78,24 @@ class Weight:
             out = self._eval_abs(tabs)
         else:
             out = self._interp(tabs)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return self._positive(out, tabs)
+
+    def _positive(self, out: np.ndarray, at: np.ndarray):
+        """``out``, as a float for a scalar argument, once every value is positive and finite.
+
+        A value that overflowed or underflowed float64 is a numerical failure.
+        """
+        if out.ndim == 0:
+            v = float(out)
+            if 0.0 < v < math.inf:
+                return v
+        elif np.all((out > 0.0) & (out < math.inf)):
+            return out
+        i = np.flatnonzero(~((out > 0.0) & (out < math.inf)))[0]
+        raise NumericalError(
+            f"weight {self.describe()} is {float(out.flat[i])!r} at |k|={float(at.flat[i]):g}: "
+            "outside the positive float64 range"
+        )
 
     @property
     def max_index(self) -> float:
@@ -101,7 +113,9 @@ class Weight:
             return f"example_2_4(s={self.s:g})"
         return f"table(len={len(self.table)})"
 
-    # internal evaluation on |k| (float array in, float array out)
+    # internal evaluation on |k| (float array in, float array out); a value
+    # that leaves float64 is reported by _positive
+    @np.errstate(over="ignore", invalid="ignore")
     def _eval_abs(self, kabs: np.ndarray) -> np.ndarray:
         if self.kind == "power":
             out = (1.0 + 2.0 * kabs) ** self.s
@@ -128,6 +142,7 @@ class Weight:
             out = tab[idx]
         return np.where(kabs == 0.0, 1.0, out)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _interp(self, tabs: np.ndarray) -> np.ndarray:
         # piecewise-linear through the integer samples, with node 1.0 at t=0
         if self.kind == "table" and np.any(tabs > len(self.table)):
@@ -440,9 +455,14 @@ def check_or_class(w: Weight, a: float, c: float, t_max: float) -> OrClassReport
         skipped += int(np.sum(~valid))
         if not np.any(valid):
             continue
-        ratio = w.at_real(tt[valid]) / base[valid]
-        dev = np.maximum(ratio, 1.0 / ratio)
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = w.at_real(tt[valid]) / base[valid]
+            dev = np.maximum(ratio, 1.0 / ratio)
         i = int(np.argmax(dev))
+        if not math.isfinite(dev[i]):
+            raise NumericalError(
+                f"scaling ratio of weight {w.describe()} overflows float64 at t={ts[valid][i]:g}, lambda={lam:g}"
+            )
         if dev[i] > worst:
             worst = float(dev[i])
             worst_t = float(ts[valid][i])
@@ -480,8 +500,11 @@ def check_sandwich(w: Weight, s: float, k_max: int) -> SandwichReport:
         raise InputError("sandwich check needs s >= 0")
     ks = np.arange(1, k_max + 1, dtype=float)
     wk = np.asarray(w(np.arange(1, k_max + 1)))
-    low = wk / ks**s
-    high = wk / ks ** (1.0 + s)
+    with np.errstate(over="ignore", divide="ignore"):
+        low = wk / ks**s
+        high = wk / ks ** (1.0 + s)
+    if not (np.all(np.isfinite(low) & (low > 0.0)) and np.all(np.isfinite(high) & (high > 0.0))):
+        raise NumericalError(f"sandwich ratios of weight {w.describe()} at s={s:g} leave the positive float64 range")
     half = max(2, k_max // 2)
     logs = np.log(ks[half - 1 :])
     lower_slope = float(np.polyfit(logs, np.log(low[half - 1 :]), 1)[0])

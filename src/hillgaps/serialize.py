@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .errors import NumericalError
 from .gaps import GapReport, TailTable
@@ -32,11 +33,17 @@ def edges_rows(edges: BandEdges) -> list[list]:
 
 
 def to_csv(header: list[str], rows) -> str:
-    """One CSV table: the header, then each row with its cells through fmt."""
+    """One CSV table: the header, then each row with its cells through fmt.
+
+    As in :func:`dump_json`, a non-finite float cell is a numerical failure.
+    """
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(header)
     for row in rows:
+        bad = [x for x in row if isinstance(x, float) and not math.isfinite(x)]
+        if bad:
+            raise NumericalError(f"non-finite value in the CSV report: {bad[0]!r} in row {row!r}")
         wr.writerow([fmt(x) for x in row])
     return buf.getvalue()
 

@@ -5,9 +5,9 @@ a real cos/sin Fourier basis and diagonalizes the resulting real symmetric
 matrices; for an even potential the cos and sin blocks decouple and are
 solved apart.
 Route two integrates the fundamental system across one period with a
-fixed-step fourth-order scheme and locates the band edges as the points
-where the trace of the monodromy matrix equals +2 or -2.  The two routes
-share no numerics, which makes their agreement a meaningful check.
+fixed-step fourth-order scheme and locates the band edges as the roots of
+D = trace^2 - 4 of the monodromy matrix.  The two routes share no
+numerics, which makes their agreement a meaningful check.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
 _BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
 _ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
 _MAX_REFINE = 200  # refinement steps before a bracket that will not close is an error
-# height of a trace hump past +-2, in double precision: above _HUMP_OPEN
-# double refines the gap; above _HUMP_SEEN it still sees the hump, and the
-# gap refines in extended precision; a zoom window whose values span less
-# than _HUMP_SEEN no longer locates the hump.  In extended precision a hump
-# above _HUMP_SEEN is an open gap
-_HUMP_OPEN = 1e-10
-_HUMP_SEEN = 1e-12
+_GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL * gamma
+_MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a double root
+# scale of the rounding bound B of D = trace^2 - 4 (see _Propagator); against
+# extended precision, within a gap width of every gap centre, the error of D
+# stayed below B / 2 (0.7 B on the zero potential)
+_D_ROUNDING = 64.0 * np.finfo(float).eps
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
@@ -222,6 +221,7 @@ def _eigenvalues(mat: np.ndarray, n_sin: int) -> np.ndarray:
     return np.sort(np.concatenate((np.linalg.eigvalsh(mat[:nc, :nc]), np.linalg.eigvalsh(mat[nc:, nc:]))))
 
 
+@np.errstate(over="ignore")  # a mean that overflows the edges is reported as non-finite edges
 def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = GalerkinConfig()) -> BandEdges:
     """Band edges from real-symmetric eigensolves of both parity problems.
 
@@ -273,20 +273,18 @@ def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: n
     O(h), keeps its full relative precision.  ``work`` holds three arrays
     of the shape of one entry for the intermediates.
     """
-    dt = lams.dtype
-    hq = h * (dt.type(0.5) * (qa + qb))
-    d = dt.type(math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+    hq = h * (0.5 * (qa + qb))
+    d = (math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
     x, sn, cs = work
-    quarter = dt.type(0.25)
     # x^2 = mu^2 / 4, signed
-    np.subtract((quarter * (d * d + h * hq))[:, None], (quarter * h * h) * lams, out=x)
+    np.subtract((0.25 * (d * d + h * hq))[:, None], (0.25 * h * h) * lams, out=x)
     trig = x < 0.0
     hyp = ~trig
     np.abs(x, out=x)
     np.sqrt(x, out=x)
     # below 1e-20, sin x / x and sinh x / x are 1 and sin^2 x is below
     # 1e-40; the clamp only keeps x = 0 from giving 0/0
-    np.maximum(x, dt.type(1e-20), out=x)
+    np.maximum(x, 1e-20, out=x)
     for f_sn, f_cs, where in ((np.sin, np.cos, trig), (np.sinh, np.cosh, hyp)):
         if where.all():
             f_sn(x, out=sn)
@@ -296,7 +294,7 @@ def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: n
             cs[where] = f_cs(x[where])
     c1 = out[3]
     np.multiply(sn, sn, out=c1)
-    c1 *= dt.type(-2.0)  # c - 1
+    c1 *= -2.0  # c - 1
     if hyp.any():
         np.negative(c1, out=c1, where=hyp)
     s = sn
@@ -366,7 +364,7 @@ class _Propagator:
     (Magnus) average of the coefficient matrix, so every step propagator
     has unit determinant by construction: the scheme cannot leak
     amplitude, which is what keeps trace values honest near band edges
-    where the roots of trace -+ 2 live.  The potential is sampled once per
+    where the roots of D = trace^2 - 4 live.  The potential is sampled once per
     step count at the two Gauss points of every step; calls batch an
     array of spectral parameters through the same sweep.
 
@@ -379,11 +377,20 @@ class _Propagator:
     its deviation E from the identity, (I + L)(I + R) = I + (L + R + L R),
     so the O(h) step deviations keep their relative precision and the
     rounding grows with the tree depth, not with the step count.  The
-    trace is 2 + E11 + E22.  The Wronskian det(I + E) remains the on-line
-    accuracy witness: on failure the step count doubles, twice at most.
-    A non-finite trace or witness is an overflow, which more steps cannot
-    cure, so it raises at once.  ``extended=True`` runs the sweep in
-    extended precision, which humps too low for double precision need.
+    trace is 2 + E11 + E22.  Since det M = 1, D = trace^2 - 4 equals
+    (E11 - E22)^2 + 4 E12 E21: near a gap M is close to +-I, every term is
+    small and keeps its absolute precision, so D loses digits like eps /
+    gamma where trace -+ 2 loses them like eps / gamma^2.
+
+    The rounding of E21 grows like eps w and that of E12 like eps / w, with
+    w = sqrt(1 + |lambda|) the free frequency, so D's rounding bound is
+    taken in the balanced basis diag(sqrt w, 1 / sqrt w), which leaves D
+    unchanged: with s = |E11 - E22| + 2 (w |E12| + |E21| / w) and r =
+    ``_D_ROUNDING``, B = r (s + s^2) + r^2.  (Near an edge E21 or E12
+    vanishes; the unbalanced s was exceeded 26-fold there.)  The Wronskian
+    det(I + E) remains the on-line accuracy witness: on failure the step
+    count doubles, twice at most.  A non-finite trace, D or witness is an
+    overflow, which more steps cannot cure, so it raises at once.
     """
 
     def __init__(self, q: Potential, steps: int):
@@ -392,34 +399,30 @@ class _Propagator:
         self.steps = steps
         self.retries_left = _MAX_STEP_RETRIES
         self._grid_for = 0
-        self._qvals: dict = {}
+        self._qvals: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
 
-    def _grid(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
         if self._grid_for != self.steps:
-            self._qvals.clear()
-            self._grid_for = self.steps
-        if dtype not in self._qvals:
             h = 1.0 / self.steps
             base = np.arange(self.steps) * h
-            qa = np.asarray(self.q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h)).astype(dtype)
-            qb = np.asarray(self.q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h)).astype(dtype)
-            self._qvals[dtype] = (qa, qb)
-        return self._qvals[dtype]
+            qa = np.asarray(self.q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h), dtype=float)
+            qb = np.asarray(self.q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h), dtype=float)
+            self._qvals, self._grid_for = (qa, qb), self.steps
+        return self._qvals
 
     @staticmethod
     def _sweep(qa: np.ndarray, qb: np.ndarray, steps: int, lams: np.ndarray):
         nl = lams.size
         block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
-        dt = qa.dtype
-        bufs = (np.empty((4, block, nl), dtype=dt), np.empty((4, max(1, block // 2), nl), dtype=dt))
-        tmp = np.empty((3, max(1, block // 2), nl), dtype=dt)
-        work = np.empty((3, block, nl), dtype=dt)
-        h = dt.type(1.0) / dt.type(steps)
+        bufs = (np.empty((4, block, nl)), np.empty((4, max(1, block // 2), nl)))
+        tmp = np.empty((3, max(1, block // 2), nl))
+        work = np.empty((3, block, nl))
+        h = 1.0 / steps
         stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
 
         def take():
-            return free.pop() if free else np.empty((4, nl), dtype=dt)
+            return free.pop() if free else np.empty((4, nl))
 
         def merge(later, earlier):
             out = take()
@@ -452,24 +455,28 @@ class _Propagator:
             run = merge(run, stack.pop()[1])
         e11, e12, e21, e22 = run
         delta = 2.0 + (e11 + e22)
+        split = e11 - e22
+        disc = split * split + 4.0 * (e12 * e21)
+        omega = np.sqrt(1.0 + np.abs(lams))
+        scaled = np.abs(split) + 2.0 * (omega * np.abs(e12) + np.abs(e21) / omega)
+        bound = _D_ROUNDING * (scaled * (1.0 + scaled) + _D_ROUNDING)
         wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
-        return delta, wronskian
+        return delta, disc, bound, wronskian
 
     @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
-    def delta(self, lams, extended: bool = False) -> np.ndarray:
-        dtype = np.dtype(np.longdouble) if extended else np.dtype(float)
-        lams = np.atleast_1d(np.asarray(lams, dtype=float)).astype(dtype)
+    def delta(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
         while True:
-            qa, qb = self._grid(dtype)
-            delta, wronskian = self._sweep(qa, qb, self.steps, lams)
-            if not (np.isfinite(delta).all() and np.isfinite(wronskian).all()):
+            delta, disc, bound, wronskian = self._sweep(*self._grid(), self.steps, lams)
+            if not all(np.isfinite(v).all() for v in (delta, disc, wronskian)):
                 raise IntegrationError(
                     f"non-finite monodromy trace or Wronskian at steps={self.steps} "
                     f"({self.requested} requested): the solution overflows"
                 )
             drift = float(np.max(np.abs(wronskian - 1.0)))
             if drift <= _WRONSKIAN_LIMIT:
-                return delta
+                return delta, disc, bound
             if self.retries_left <= 0:
                 raise IntegrationError(
                     f"Wronskian drift {drift:.3e} beyond {_WRONSKIAN_LIMIT:g} at steps={self.steps}"
@@ -480,20 +487,19 @@ class _Propagator:
     @np.errstate(all="ignore")
     def wronskian_drift(self, lams) -> float:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        qa, qb = self._grid(np.dtype(float))
-        _, wronskian = self._sweep(qa, qb, self.steps, lams)
+        wronskian = self._sweep(*self._grid(), self.steps, lams)[3]
         return float(np.max(np.abs(wronskian - 1.0)))
 
 
 def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = DiscriminantConfig()) -> float:
     """Trace of the one-period monodromy matrix at spectral parameter lam."""
-    return float(_Propagator(q, cfg.steps).delta(lam)[0])
+    return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
 
 def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
     """One spectral point strictly inside each band 0..n_max (|trace| < 2)."""
     probes = (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2
-    vals = prop.delta(probes)
+    vals = prop.delta(probes)[0]
     bad = np.where(np.abs(vals) >= 2.0)[0]
     for n in bad:
         lo = (np.pi * n) ** 2
@@ -502,7 +508,7 @@ def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
         count = 17
         for _ in range(3):
             xs = np.linspace(lo, hi, count + 2)[1:-1]
-            vs = prop.delta(xs)
+            vs = prop.delta(xs)[0]
             i = int(np.argmin(np.abs(vs)))
             if abs(vs[i]) < 2.0 - 1e-9:
                 probes[n] = xs[i]
@@ -514,34 +520,43 @@ def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
     return probes
 
 
-def _lambda0_left(prop: _Propagator) -> float:
-    """A point left of the spectrum, where the trace exceeds 2."""
+def _lambda0_left(prop: _Propagator) -> tuple[float, float]:
+    """A point left of the spectrum, where D = trace^2 - 4 > 0, and D there."""
     lo = -prop.q.l1_bound() - 1.0
     width = 1.0
     for _ in range(60):
-        if float(prop.delta(lo)[0]) > 2.0:
-            return lo
+        disc = float(prop.delta(lo)[1][0])
+        if disc > 0.0:
+            return lo, disc
         lo -= width
         width *= _BRACKET_EXPAND
     raise BracketError("no left bracket for the lowest edge within the expansion budget")
 
 
-def _parabolic_peak(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Vertex abscissa through three points; falls back to the middle one."""
-    x0, x1, x2 = xs
-    y0, y1, y2 = ys
-    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if denom == 0.0:
-        return float(x1)
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    vertex = x1 - 0.5 * num / denom
-    if not (min(x0, x2) <= vertex <= max(x0, x2)):
-        return float(x1)
-    return float(vertex)
+def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float]:
+    """Vertex c, curvature k and peak P of D = P - k (lambda - c)^2 through samples i-1, i, i+1.
+
+    c is kept between the outer two samples.  Where the three samples are
+    not concave, k is 0, c is x[i] and P is D there.
+    """
+    x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
+    d0, d1, d2 = (float(v) for v in d[i - 1 : i + 2])
+    s01 = (d1 - d0) / (x1 - x0)
+    k = (s01 - (d2 - d1) / (x2 - x1)) / (x2 - x0)
+    if not k > 0.0:
+        return x1, 0.0, d1
+    c = min(max(0.5 * (x0 + x1) + s01 / (2.0 * k), x0), x2)
+    return c, k, d1 + k * (c - x1) ** 2
 
 
-def _refine_roots(fn, a, fa, b, fb):
-    """Batched safeguarded secant on sign-changing brackets, each to ``_ROOT_TOL``.
+def _root_tol(x, cap):
+    """Refinement tolerance at x: min(_ROOT_TOL (1 + |x|), cap), at least 4 ulp(x)."""
+    x = np.abs(x)
+    return np.maximum(np.minimum(_ROOT_TOL * (1.0 + x), cap), 4.0 * np.spacing(x))
+
+
+def _refine_roots(fn, a, fa, b, fb, cap=math.inf):
+    """Batched safeguarded secant on sign-changing brackets, each to its tolerance.
 
     ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
     opposite sign (or zero); ``fn(x, idx)`` evaluates f of the edges
@@ -551,11 +566,13 @@ def _refine_roots(fn, a, fa, b, fb):
     half the tolerance, so the bracket can close from the far side, and a
     secant step that fails to halve the bracket is followed by a
     bisection.  An edge leaves the batch once its bracket is at most
-    ``_ROOT_TOL (1 + |lambda|)`` wide or it hits an exact zero; returns the
-    endpoint with the smaller |f| of each bracket.  Raises BracketError if
-    any bracket is still open after ``_MAX_REFINE`` steps.
+    :func:`_root_tol` wide, with the edge's ``cap``, or it hits an exact
+    zero; returns the endpoint with the smaller |f| of each bracket.
+    Raises BracketError if any bracket is still open after ``_MAX_REFINE``
+    steps.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), a.shape)
     # an exact zero at an endpoint is already the root
     hit = fa == 0.0
     b, fb = np.where(hit, a, b), np.where(hit, fa, fb)
@@ -567,7 +584,7 @@ def _refine_roots(fn, a, fa, b, fb):
     bisect = np.zeros(a.size, dtype=bool)
     for _ in range(_MAX_REFINE):
         width = np.abs(b - a)
-        tol = _ROOT_TOL * (1.0 + np.abs(b))
+        tol = _root_tol(b, cap)
         live = np.flatnonzero(width > tol)
         if live.size == 0:
             return np.where(np.abs(fa) <= np.abs(fb), a, b)
@@ -594,195 +611,119 @@ def _refine_roots(fn, a, fa, b, fb):
         x0[live] = np.where(best, lx1, np.where(second, cand, lx0))
         f0[live] = np.where(best, lf1, np.where(second, fc, lf0))
         x1[live], f1[live] = np.where(best, cand, lx1), np.where(best, fc, lf1)
-    i = int(np.flatnonzero(np.abs(b - a) > _ROOT_TOL * (1.0 + np.abs(b)))[0])
+    i = int(np.flatnonzero(np.abs(b - a) > _root_tol(b, cap))[0])
     raise BracketError(f"bracket [{a[i]!r}, {b[i]!r}] still open after {_MAX_REFINE} refinement steps")
 
 
 def band_edges_discriminant(
     q: Potential, n_max: int, cfg: DiscriminantConfig = DiscriminantConfig()
 ) -> BandEdges:
-    """Band edges as roots of trace(lambda) = +/- 2.
+    """Band edges as roots of D = trace(lambda)^2 - 4, in double precision.
 
     The mean-free potential is solved and the mean added back to every
     edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
-    - mean).  A coarse scan between band probes and a zoom on each hump of
-    the trace find the brackets, which a safeguarded secant refines to
-    ``_ROOT_TOL``.  Both run in double precision wherever it resolves the
-    hump, and in extended precision where it does not.  Where the target
-    value is a double root (a collapsed gap) no sign change exists; the hump
-    of the trace is then localized directly and the pair reported with
-    identical edges.
+    - mean).  Between neighbouring band probes, where D < 0, a 33-point scan
+    looks for the gap, and every sample is kept.  A gap is open as soon as
+    one of its samples has D above its rounding bound B.  Until then it
+    jumps by the parabola D = P - k (lambda - c)^2 through its largest
+    sample and that sample's two neighbours: the next samples are c and
+    c +- w, with w = max(sqrt(P / k) / 2, 2 sqrt(B / k), spacing / 64), at
+    most half the spacing.  Once the samples around the largest one are at
+    most 4 sqrt(B / k) apart with none above B, the gap is below the
+    rounding bound of D and reported collapsed, with identical edges at c;
+    a gap still pending after ``_MAX_JUMPS`` jumps collapses at its best
+    sample.  A safeguarded secant then refines lambda_0 and both edges of
+    every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 + |lambda|)
+    but to at most ``_GAP_RTOL`` of the gap's parabola width
+    2 sqrt(P / k), and never below 4 ulp(lambda).
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     prop = _Propagator(q.without_mean(), cfg.steps)
     probes = _band_probes(prop, n_max)
-    left0 = _lambda0_left(prop)
+    left0, d_left0 = _lambda0_left(prop)
 
-    signs = np.array([1.0 if n % 2 == 0 else -1.0 for n in range(1, n_max + 1)])
+    # every sample of each gap in ascending order: lambda, D and its bound
+    samples = {n: (np.empty(0), np.empty(0), np.empty(0)) for n in range(n_max)}
 
-    # the coarse scan of each inter-band window, then a zoom on the hump of
-    # the trace; gx/gg hold each gap's last evaluated grid.  One precision
-    # rule judges every grid evaluated in double precision: a hump above
-    # 2 + _HUMP_OPEN is refined in double, one above 2 + _HUMP_SEEN in
-    # extended precision; a grid whose values span less than _HUMP_SEEN, or
-    # one at the width floor, is evaluated again in extended precision and
-    # its gap zooms in extended from there on.  In extended precision a
-    # hump above 2 + _HUMP_SEEN is refined; at the width floor a parabola
-    # fit separates a real hump from the noise floor
-    windows = {n: np.linspace(probes[n], probes[n + 1], 33) for n in range(n_max)}
-    gx: dict[int, np.ndarray] = {}
-    gg: dict[int, np.ndarray] = {}
-    extended_refine: list[int] = []
+    def add_samples(points: dict) -> None:
+        """Evaluate the new points of every gap in one sweep and merge them into its samples."""
+        _, d, b = prop.delta(np.concatenate(list(points.values())))
+        cuts = np.cumsum([x.size for x in points.values()])[:-1]
+        for (n, x), dn, bn in zip(points.items(), np.split(d, cuts), np.split(b, cuts)):
+            order = np.argsort(np.concatenate((samples[n][0], x)))
+            samples[n] = tuple(np.concatenate(pair)[order] for pair in zip(samples[n], (x, dn, bn)))
+
+    add_samples({n: np.linspace(probes[n], probes[n + 1], 33) for n in range(n_max)})
+    open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
-    in_extended: set[int] = set()
-    zoom_pts = 17
     pending = list(range(n_max))
-    for _ in range(41):  # the scan and at most 40 zoom steps
-        if not pending:
-            break
-        for extended in (False, True):
-            ns = [n for n in pending if (n in in_extended) == extended]
-            if not ns:
-                continue
-            vals = prop.delta(np.concatenate([windows[n] for n in ns]), extended=extended)
-            for n, v in zip(ns, np.split(vals, np.cumsum([windows[n].size for n in ns])[:-1])):
-                gx[n], gg[n] = windows[n], signs[n] * v
-        still = []
+    for jump in range(_MAX_JUMPS + 1):
+        jumps = {}
         for n in pending:
-            x, g = gx[n], gg[n]
-            at_floor = float(x[-1] - x[0]) <= 1e-8 * (1.0 + abs(float(x[0])))
-            if n not in in_extended:
-                if g.max() > 2.0 + _HUMP_OPEN:
-                    continue
-                if g.max() > 2.0 + _HUMP_SEEN:
-                    extended_refine.append(n)
-                    continue
-                if g.max() - g.min() < _HUMP_SEEN or at_floor:
-                    in_extended.add(n)  # the same window again, in extended precision
-                    still.append(n)
-                    continue
-            elif g.max() > 2.0 + _HUMP_SEEN:
-                extended_refine.append(n)
+            x, d, b = samples[n]
+            if np.any(d > b):
+                open_gaps.append(n)
                 continue
-            elif at_floor:
-                # quadratic model of the hump against its residuals; the
-                # subtraction happens in extended precision, the fit in double
-                center = float(x[x.size // 2])
-                z = x - center
-                y = np.asarray(g - 2.0, dtype=float)
-                c2, c1, c0 = np.polyfit(z, y, 2)
-                rms = float(np.sqrt(np.mean((y - np.polyval([c2, c1, c0], z)) ** 2)))
-                height = c0 - c1 * c1 / (4.0 * c2) if c2 < 0 else float(np.max(y))
-                if c2 < 0 and height > max(6.0 * rms, 3e-14):
-                    peak = float(np.clip(center - c1 / (2.0 * c2), x[1], x[-2]))
-                    gpk = signs[n] * prop.delta(np.array([peak]), extended=True)[0]
-                    if gpk > 2.0:
-                        j = int(np.searchsorted(x, peak))
-                        gx[n] = np.insert(x, j, peak)
-                        gg[n] = np.insert(g, j, gpk)
-                        extended_refine.append(n)
-                        continue
-                i = min(max(int(np.argmax(g)), 1), x.size - 2)
-                collapsed_at[n] = _parabolic_peak(
-                    np.asarray(x[i - 1 : i + 2], dtype=float),
-                    np.asarray(g[i - 1 : i + 2], dtype=float),
-                )
+            best = int(np.argmax(d))
+            i = min(max(best, 1), x.size - 2)
+            c, k, peak = _parabola(x, d, i)
+            spacing = 0.5 * float(x[i + 1] - x[i - 1])
+            if k > 0.0 and spacing <= 4.0 * math.sqrt(b[i] / k):
+                collapsed_at[n] = c
                 continue
-            i = min(max(int(np.argmax(g)), 1), x.size - 2)
-            windows[n] = np.linspace(x[i - 1], x[i + 1], zoom_pts)
-            still.append(n)
-        pending = still
-    for n in pending:  # zoom budget exhausted: best point stands as the double root
-        collapsed_at[n] = float(gx[n][int(np.argmax(gg[n]))])
+            if k > 0.0:
+                w = max(0.5 * math.sqrt(max(peak, 0.0) / k), 2.0 * math.sqrt(b[i] / k), spacing / 64.0)
+            else:
+                w = spacing / 4.0
+            w = min(w, 0.5 * spacing)
+            new = np.unique(np.clip([c - w, c, c + w], x[i - 1], x[i + 1]))
+            new = new[~np.isin(new, x)]
+            if jump == _MAX_JUMPS or new.size == 0:  # the best sample stands as the double root
+                collapsed_at[n] = float(x[best])
+                continue
+            jumps[n] = new
+        if not jumps:
+            break
+        add_samples(jumps)
+        pending = list(jumps)
 
-    # assemble sign-change brackets: lambda_0 plus both edges of each open
-    # gap, the gaps of extended_refine in extended precision
-    def brackets_for(ns):
-        br_a, br_b, br_sgn, slots = [], [], [], []
-        for n in ns:
-            g = gg[n]
-            x = gx[n]
-            i_max = int(np.argmax(g))
-            iL = i_max
-            while iL > 0 and g[iL] > 2.0:
-                iL -= 1
-            iR = i_max
-            while iR < g.size - 1 and g[iR] > 2.0:
-                iR += 1
-            br_a.extend((float(x[iL]), float(x[iR - 1])))
-            br_b.extend((float(x[iL + 1]), float(x[iR])))
-            br_sgn.extend((signs[n], signs[n]))
-            slots.extend(((n, "minus"), (n, "plus")))
-        return br_a, br_b, br_sgn, slots
+    # sign-change brackets of D: lambda_0, then both edges of every open gap,
+    # their ends taken from the samples
+    ends = [(left0, d_left0, float(probes[0]), float(samples[0][1][0]))]
+    caps = [math.inf]
+    slots = [(-1, 0)]
+    for n in sorted(open_gaps):
+        x, d, _ = samples[n]
+        best = int(np.argmax(d))
+        _, k, peak = _parabola(x, d, min(max(best, 1), x.size - 2))
+        cap = _GAP_RTOL * 2.0 * math.sqrt(peak / k) if k > 0.0 else math.inf
+        lo = hi = best
+        while lo > 0 and d[lo] > 0.0:
+            lo -= 1
+        while hi < x.size - 1 and d[hi] > 0.0:
+            hi += 1
+        for side, j in enumerate((lo, hi - 1)):
+            ends.append((float(x[j]), float(d[j]), float(x[j + 1]), float(d[j + 1])))
+            caps.append(cap)
+            slots.append((n, side))
+    a, fa, b, fb = (np.array(col) for col in zip(*ends))
+    bad = np.flatnonzero(np.sign(fa) * np.sign(fb) > 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise BracketError(f"no sign change over [{a[i]!r}, {b[i]!r}] for edge slot {slots[i]}")
+    roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps))
 
-    double_refine = [n for n in range(n_max) if n not in collapsed_at and n not in extended_refine]
-    a1, b1, s1, slots1 = brackets_for(double_refine)
-    a1 = [left0] + a1
-    b1 = [float(probes[0])] + b1
-    s1 = [1.0] + s1
-    slots1 = [(-1, "root0")] + slots1
-    a2, b2, s2, slots2 = brackets_for(extended_refine)
-
-    def make_f(sv, extended):
-        sg = np.array(sv)
-
-        def f_batch(x, idx):
-            return np.asarray(sg[idx] * prop.delta(x, extended=extended) - 2.0, dtype=float)
-
-        return f_batch
-
-    def at_ends(f, av, bv):  # f at both ends of every bracket, in one sweep
-        k = np.arange(av.size)
-        fab = f(np.concatenate((av, bv)), np.concatenate((k, k)))
-        return fab[: av.size], fab[av.size :]
-
-    roots1 = np.empty(0)
-    if a1:
-        f1 = make_f(s1, extended=False)
-        av, bv = np.array(a1), np.array(b1)
-        fa, fb = at_ends(f1, av, bv)
-        bad = fa * fb > 0.0
-        if np.any(bad):
-            i = int(np.where(bad)[0][0])
-            raise BracketError(
-                f"no sign change over [{a1[i]!r}, {b1[i]!r}] for edge slot {slots1[i]}"
-            )
-        roots1 = _refine_roots(f1, av, fa, bv, fb)
-
-    roots2 = np.empty(0)
-    if a2:
-        f2 = make_f(s2, extended=True)
-        av, bv = np.array(a2), np.array(b2)
-        fa, fb = at_ends(f2, av, bv)
-        # humps at the resolution floor may lose their sign change on
-        # re-evaluation; such gaps are numerically collapsed
-        drop = sorted({slots2[i][0] for i in np.where(fa * fb > 0.0)[0]})
-        if drop:
-            for n in drop:
-                i = slots2.index((n, "minus"))
-                collapsed_at[n] = 0.5 * (float(av[i]) + float(bv[i + 1]))
-            keep = [i for i, (n, _) in enumerate(slots2) if n not in drop]
-            slots2 = [slots2[i] for i in keep]
-            s2 = [s2[i] for i in keep]
-            f2 = make_f(s2, extended=True)
-            av, bv, fa, fb = av[keep], bv[keep], fa[keep], fb[keep]
-        if slots2:
-            roots2 = _refine_roots(f2, av, fa, bv, fb)
-
-    lam0 = float(roots1[0])
     pairs: list[list[float]] = [[math.nan, math.nan] for _ in range(n_max)]
     collapsed = [False] * n_max
-    for val, (n, side) in zip(roots1[1:], slots1[1:]):
-        pairs[n][0 if side == "minus" else 1] = float(val)
-    for val, (n, side) in zip(roots2, slots2):
-        pairs[n][0 if side == "minus" else 1] = float(val)
+    for val, (n, side) in zip(roots[1:], slots[1:]):
+        pairs[n][side] = float(val)
     for n, x in collapsed_at.items():
         pairs[n] = [x, x]
         collapsed[n] = True
 
     edges = BandEdges(
-        lambda0=lam0 + q.mean,
+        lambda0=float(roots[0]) + q.mean,
         pairs=tuple((lo + q.mean, hi + q.mean) for lo, hi in pairs),
         method="discriminant",
         resolution=prop.steps,

@@ -430,11 +430,12 @@ def _reject_constant(name):
 
 
 def _run_contract(d: Path, pot, argv: list[str], weights=()) -> None:
-    """Run main on a written potential; assert the exit-code contract and strict JSON outputs.
+    """Run main on a written potential; assert the exit-code contract and strict outputs.
 
     main runs in process, so an exception escaping it (the traceback a user
-    would see) fails the example by itself.  Every JSON file written under
-    ``d/out`` must parse without NaN or Infinity.
+    would see) fails the example by itself, and so does any numpy
+    RuntimeWarning.  Every JSON file written under ``d/out`` must parse
+    without NaN or Infinity.
     """
     (d / "q.json").write_text(json.dumps(pot), encoding="utf-8")
     argv = [argv[0], "--potential", str(d / "q.json"), *argv[1:]]
@@ -444,9 +445,12 @@ def _run_contract(d: Path, pot, argv: list[str], weights=()) -> None:
     (d / "out").mkdir()
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(argv + ["--out", str(d / "out" / "report")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--out", str(d / "out" / "report")])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     for path in (d / "out").iterdir():
         text = path.read_text(encoding="utf-8")
         if text.startswith("{"):
@@ -495,3 +499,29 @@ def test_dump_json_rejects_non_finite():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NumericalError, match="non-finite"):
             serialize.dump_json({"x": [1.0, bad]})
+
+
+def test_to_csv_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericalError, match="non-finite"):
+            serialize.to_csv(["m", "partial_sum"], [[1, 0.5], [2, bad]])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_weight_exits_3_without_output(files, capsys, fmt):
+    # (1 + 2k)^400 overflows float64 from k = 3 on: the weighted tails were
+    # written to CSV as inf with exit 0, and numpy warned on stderr
+    pot = files["dir"] / "cos.json"
+    pot.write_text(json.dumps({"mean": 0.0, "coeffs": [{"k": 1, "re": 2.0, "im": 0.0}]}), encoding="utf-8")
+    w = files["dir"] / "w400.json"
+    w.write_text(json.dumps({"kind": "power", "s": 400}), encoding="utf-8")
+    out_dir = files["dir"] / "out"
+    out_dir.mkdir()
+    for command in ("gaps", "verify"):
+        argv = [command, "--potential", str(pot), "--weight", str(w), "--format", fmt, "--out", str(out_dir / "g.out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "power(s=400)" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []

@@ -19,7 +19,15 @@ from hillgaps import (
     random_hs,
     two_harmonic,
 )
-from hillgaps.spectrum import _BLOCK_ELEMS, _ROOT_TOL, _eigenvalues, _Propagator, _refine_roots
+from hillgaps.spectrum import (
+    _BLOCK_ELEMS,
+    _GAP_RTOL,
+    _ROOT_TOL,
+    _eigenvalues,
+    _Propagator,
+    _refine_roots,
+    _root_tol,
+)
 
 ZERO = from_fourier(0.0, [])
 
@@ -213,29 +221,33 @@ def test_non_finite_trace_raises_at_once():
     assert prop.steps == 256
 
 
-@pytest.mark.parametrize("extended", [False, True])
-def test_sweep_batch_invariance(extended):
+def test_sweep_batch_invariance():
     # 1000 steps: blocks of 963 (batch 17) and 17 (batch 924) steps leave a
     # partial last block; past _BLOCK_ELEMS points each block is one step
     prop = _Propagator(mathieu(0.5), 1000)
     probes = np.array([-2.0, 22.0, np.pi**2])  # below the spectrum, in band 1, in gap 1
-    alone = np.concatenate([prop.delta(x, extended=extended) for x in probes])
-    assert alone[0] > 2.0 and abs(alone[1]) < 2.0 and alone[2] < -2.0
+    alone = [np.concatenate(parts) for parts in zip(*(prop.delta(x) for x in probes))]
+    trace, disc, bound = alone
+    assert trace[0] > 2.0 and abs(trace[1]) < 2.0 and trace[2] < -2.0
+    assert disc[0] > bound[0] and disc[1] < -bound[1] and disc[2] > bound[2]
     for size in (17, 924, _BLOCK_ELEMS + 27):
         batch = np.linspace(-50.0, 2000.0, size)
         at = [0, size // 2, size - 1]
         batch[at] = probes
-        assert np.array_equal(prop.delta(batch, extended=extended)[at], alone)
+        for got, want in zip(prop.delta(batch), alone):
+            assert np.array_equal(got[at], want)
 
 
-def _sequential_trace(qa: np.ndarray, qb: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Test oracle: the monodromy trace multiplied in step by step, in extended precision.
+def _sequential_monodromy(prop: _Propagator, lams: np.ndarray) -> np.ndarray:
+    """Test oracle: the monodromy matrix multiplied in step by step, in extended precision.
 
     Each step is the exact exponential of the two-point Gauss average of the
-    coefficient matrix, applied to the fundamental pair one step at a time.
-    ``qa``/``qb`` are the potential at the Gauss points, in ``np.longdouble``.
+    coefficient matrix, applied to the fundamental pair one step at a time,
+    with the potential at the Gauss points of ``prop``'s grid.  Returns
+    M11, M12, M21, M22 as ``np.longdouble`` arrays.
     """
     ld = np.longdouble
+    qa, qb = (np.asarray(v, dtype=ld) for v in prop._grid())
     h = ld(1) / ld(qa.size)
     lams = np.asarray(lams, dtype=float).astype(ld)
     u = np.array([np.ones_like(lams), np.zeros_like(lams)])
@@ -252,7 +264,7 @@ def _sequential_trace(qa: np.ndarray, qb: np.ndarray, lams: np.ndarray) -> np.nd
         s = np.where(m > 0, s, 1)
         m11, m12, m21, m22 = c + s * d, s * h, s * h * wbar, c - s * d
         u, p = m11 * u + m12 * p, m21 * u + m22 * p
-    return u[0] + p[1]
+    return np.array([u[0], p[0], u[1], p[1]])
 
 
 @pytest.mark.parametrize("steps", [256, 1000, 2048, 4096])
@@ -261,20 +273,34 @@ def test_sweep_closed_forms_zero_potential(steps):
     lams = np.array([-25.0, -1.0, 0.0, np.pi**2 / 4, 10.0, 50.0, 500.0, 2000.0])
     root = np.sqrt(np.abs(lams))
     exact = np.where(lams < 0, 2 * np.cosh(root), 2 * np.cos(root))
-    got = _Propagator(ZERO, steps).delta(lams)
+    got = _Propagator(ZERO, steps).delta(lams)[0]
     assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) <= 5e-14
 
 
 @pytest.mark.parametrize("steps", [1000, 2048])
 def test_sweep_matches_sequential_oracle(steps):
     prop = _Propagator(mathieu(0.5), steps)
-    qa, qb = prop._grid(np.dtype(np.longdouble))
     lams = np.linspace(-50.0, 2000.0, 924)
-    ref = _sequential_trace(qa, qb, lams)
+    m11, _, _, m22 = _sequential_monodromy(prop, lams)
+    ref = m11 + m22
     for size in (1, 17, 924):
         at = np.linspace(0, lams.size - 1, size).astype(int) if size > 1 else [lams.size // 2]
-        got = prop.delta(lams[at])
+        got = prop.delta(lams[at])[0]
         assert np.max(np.abs(got - ref[at]) / np.maximum(1.0, np.abs(ref[at]))) <= 1e-13
+
+
+@pytest.mark.parametrize("q, n_max", [(mathieu(0.5), 8), (power_decay(2.0, 32), 28)], ids=["mathieu", "power_decay"])
+def test_disc_within_its_rounding_bound(q, n_max):
+    # 21 points across twice the width of every gap (1e-9 lambda for a
+    # collapsed one), edges included: there D = trace^2 - 4 is small and
+    # its rounding bound B is what decides open, collapsed and the jumps
+    centres, widths = zip(*(((lo + hi) / 2, max(hi - lo, 1e-9 * hi)) for lo, hi in band_edges_galerkin(q, n_max).pairs))
+    lams = (np.array(centres)[:, None] + np.array(widths)[:, None] * np.linspace(-1.0, 1.0, 21)).ravel()
+    prop = _Propagator(q, 2048)
+    m11, m12, m21, m22 = _sequential_monodromy(prop, lams)
+    exact = ((m11 - m22) ** 2 + 4 * m12 * m21).astype(float)
+    _, disc, bound = prop.delta(lams)
+    assert np.all(np.abs(disc - exact) <= bound)
 
 
 def test_discriminant_config_validation():
@@ -299,52 +325,100 @@ def test_mathieu_first_gap_near_leading_term():
     assert abs(gap1 - 0.2) / 0.2 < 0.05
 
 
-def _count_extended(monkeypatch):
-    """Record every spectral point the discriminant route evaluates in extended precision."""
-    points = []
+def _count_sweeps(monkeypatch):
+    """Record the size of every sweep the discriminant route runs."""
+    sizes = []
     delta = _Propagator.delta
 
-    def counted(self, lams, extended=False):
-        if extended:
-            points.extend(np.atleast_1d(lams).tolist())
-        return delta(self, lams, extended)
+    def counted(self, lams):
+        sizes.append(np.atleast_1d(lams).size)
+        return delta(self, lams)
 
     monkeypatch.setattr(_Propagator, "delta", counted)
-    return points
+    return sizes
 
 
 def test_narrow_gaps_refine_in_double(monkeypatch):
-    # gaps 3..28 are 4e-2 down to 6e-4 wide, with humps 1e-6 down to 3e-12
-    # above 2: double precision locates every hump (3573 extended
-    # evaluations when every zoom ran in extended precision)
-    points = _count_extended(monkeypatch)
+    # gaps 3..28 are 4e-2 down to 6e-4 wide: each is open in the scan or
+    # after one parabola jump (49 sweeps when humps were zoomed 8x a step)
+    sizes = _count_sweeps(monkeypatch)
     cv = cross_validate(power_decay(2.0, 32), 28)
-    assert len(points) <= 1000
+    assert len(sizes) <= 30
+    assert not any(cv.discriminant.collapsed)
     assert cv.max_rel_discrepancy <= 1e-11
 
 
-def test_low_hump_refines_in_extended(monkeypatch):
-    # the hump of gap 3 stands 1.1e-12 above 2: double precision sees it
-    # but cannot refine it; gaps 4..8 are below the resolution floor
-    points = _count_extended(monkeypatch)
+def _assert_open_like_galerkin(cv, ns):
+    for n in ns:
+        assert not cv.discriminant.collapsed[n - 1]
+        g, d = cv.galerkin.gaps()[n - 1], cv.discriminant.gaps()[n - 1]
+        assert abs(d - g) <= 1e-3 * g
+
+
+def test_low_humps_open_in_double():
+    # gaps 4 and 5 are 5.6e-8 and 4.5e-11 wide, far below where trace -+ 2
+    # resolves a hump in double precision; D = trace^2 - 4 still sees them
     cv = cross_validate(mathieu(0.5), 8)
-    lo, hi = cv.discriminant.pairs[2]
-    assert lo in points and hi in points  # both edges are extended-precision evaluations
-    g_lo, g_hi = cv.galerkin.pairs[2]
-    assert abs(lo - g_lo) <= 1e-9 * g_lo and abs(hi - g_hi) <= 1e-9 * g_hi
-    assert cv.discriminant.collapsed == (False,) * 3 + (True,) * 5
+    _assert_open_like_galerkin(cv, (4, 5))
+    assert cv.discriminant.collapsed[:5] == (False,) * 5
+    assert cv.max_rel_discrepancy <= 1e-8
+
+
+def test_cos_potential_gap_4_open():
+    # q = 4 cos 2 pi x: gap 4 is 1.44e-5 wide; reported collapsed, it put
+    # the cross-method discrepancy at 4.6e-8
+    cv = cross_validate(from_fourier(0.0, [(1, 2.0)]), 8)
+    _assert_open_like_galerkin(cv, (4,))
+    assert abs(cv.galerkin.gaps()[3] - 1.4443e-5) <= 1e-3 * 1.4443e-5
+    assert cv.max_rel_discrepancy <= 1e-8
+
+
+def test_mathieu_gap_3_open_at_512_steps():
+    edges = band_edges_discriminant(mathieu(0.1), 3, DiscriminantConfig(steps=512))
+    assert not edges.collapsed[2]
+    assert abs(edges.gaps()[2] - 3.2081e-7) <= 1e-3 * 3.2081e-7
+
+
+@pytest.mark.parametrize(
+    "q, n_max, steps",
+    [(mathieu(0.5), 8, 2048), (mathieu(0.1), 3, 512), (from_fourier(0.0, [(1, 2.0)]), 8, 2048)],
+    ids=["mathieu05", "mathieu01-512", "cos"],
+)
+def test_refined_edges_bracket_a_sign_change(q, n_max, steps):
+    # each edge lies within its tolerance of a sign change of D, the
+    # tolerance capped at _GAP_RTOL of the gap
+    edges = band_edges_discriminant(q, n_max, DiscriminantConfig(steps=steps))
+    lams, caps = [edges.lambda0], [np.inf]
+    for (lo, hi), collapsed in zip(edges.pairs, edges.collapsed):
+        if not collapsed:
+            lams += [lo, hi]
+            caps += [_GAP_RTOL * (hi - lo)] * 2
+    lams = np.array(lams)
+    tol = _root_tol(lams, np.array(caps))
+    prop = _Propagator(q, steps)
+    below, above = prop.delta(lams - tol)[1], prop.delta(lams + tol)[1]
+    assert np.all(np.sign(below) * np.sign(above) <= 0.0)
+
+
+def test_period_half_potential_keeps_exact_collapses():
+    # q has period 1/2: every odd gap is closed exactly, every even one open
+    edges = band_edges_discriminant(from_fourier(0.0, [(2, 0.7), (4, 0.2)]), 8)
+    assert edges.collapsed == (True, False) * 4
+    for n in (1, 3, 5, 7):
+        lo, hi = edges.pairs[n - 1]
+        assert lo == hi
 
 
 def test_refine_roots_closes_the_bracket():
     # the upper edge of the 5e-4-wide n = 2 gap of mathieu(0.1) at 512 steps:
-    # the trace is nearly flat there (slope -3.2e-6), and a fixed bisection
-    # plus secant budget stopped 1.2e-7 short of the root.  Extended
-    # precision keeps the rounding of the trace (1e-19) below its change
-    # across the tolerance (1e-16)
+    # the trace is nearly flat there (slope -3.2e-6), so trace - 2 in double
+    # precision is quantized at ulp(2) over 1.4e-10 around the root.  D keeps
+    # its digits there, and the refined edge lies within the tolerance of
+    # its sign change
     prop = _Propagator(mathieu(0.1), 512)
 
     def f(x, idx=None):
-        return np.asarray(prop.delta(x, extended=True) - 2.0, dtype=float)
+        return prop.delta(x)[1]
 
     a, b = np.array([39.47841760435743]), np.array([40.7121181544936])
     r = float(_refine_roots(f, a, f(a), b, f(b))[0])

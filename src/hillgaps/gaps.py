@@ -79,13 +79,24 @@ def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
         raise InputError("rho is defined for n >= 1")
     if q.mean != 0.0:
         raise InputError("rho_via_convolution requires a mean-zero potential")
-    vals: dict[int, complex] = {}
-    for k, v in q.coeffs:
-        vals[k] = v / k
-        vals[-k] = v.conjugate() / (-k)
-    divided = TwoSidedSeq.from_dict(vals, support=q.cutoff)
-    square = convolve(divided, divided)
-    return np.array([square.value(n) / (4.0 * math.pi * math.pi) for n in range(1, n_max + 1)])
+    k = np.arange(-q.cutoff, q.cutoff + 1)
+    k[q.cutoff] = 1  # c(0) = 0, so a(0) = 0
+    divided = TwoSidedSeq(_over(q.two_sided().coef, k))
+    square = convolve(divided, divided).coef[2 * q.cutoff + 1 :][:n_max]  # (a*a)(n) for n >= 1
+    out = np.zeros(n_max, dtype=complex)
+    out[: square.size] = _over(square, 4.0 * math.pi * math.pi)
+    return out
+
+
+def _over(z: np.ndarray, d) -> np.ndarray:
+    """z / d for real d, with the real and imaginary parts divided apart.
+
+    numpy's complex-by-real division multiplies by the reciprocal, which
+    can move the last bit; this keeps the bits of Python's scalar division.
+    """
+    out = np.empty_like(z)
+    out.real, out.imag = z.real / d, z.imag / d
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,16 +272,11 @@ class MembershipReport:
 
 def _partial_norms(vals: np.ndarray, w: Weight, lo: int, hi: int) -> list[float]:
     """sqrt(sum_{n=lo}^{m} (w(n) vals(n))^2) for m = lo..hi, one running sum in n order."""
-    acc = 0.0
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(lo, hi + 1):
-            wn = float(w(n))
-            acc += (wn * vals[n - 1]) ** 2
-            out.append(math.sqrt(acc))
-    if not math.isfinite(acc):
+        partial = np.sqrt(np.cumsum((w(np.arange(lo, hi + 1)) * vals[lo - 1 : hi]) ** 2))
+    if not math.isfinite(partial[-1]):
         raise NumericalError(f"weighted partial norm under {w.describe()} overflows float64 by n = {hi}")
-    return out
+    return partial.tolist()
 
 
 def verify_membership_consistency(

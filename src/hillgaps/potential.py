@@ -54,13 +54,12 @@ class Potential:
 
     def two_sided(self) -> TwoSidedSeq:
         """Full coefficient sequence on the integers with conjugate symmetry."""
-        vals: dict[int, complex] = {}
-        if self.mean != 0.0:
-            vals[0] = complex(self.mean)
+        coef = np.zeros(2 * self.cutoff + 1, dtype=complex)
+        coef[self.cutoff] = self.mean
         for k, v in self.coeffs:
-            vals[k] = v
-            vals[-k] = v.conjugate()
-        return TwoSidedSeq.from_dict(vals, support=self.cutoff)
+            coef[self.cutoff + k] = v
+            coef[self.cutoff - k] = v.conjugate()
+        return TwoSidedSeq(coef)
 
     def without_mean(self) -> "Potential":
         return Potential(mean=0.0, coeffs=self.coeffs)

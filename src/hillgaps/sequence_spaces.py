@@ -3,8 +3,8 @@
 A weight is a positive function on the integers with value 1 at the
 origin and symmetric in the sign of the index; every constructor applies
 that extension automatically.  Sequences are finitely supported maps from
-the integers to the complex numbers, and all operations on them (weighted
-norms, convolution) are exact finite sums.
+the integers to the complex numbers, stored as centred arrays, and all
+operations on them (weighted norms, convolution) are exact finite sums.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,84 +233,87 @@ def table_weight(values) -> Weight:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSidedSeq:
     """Finitely supported complex sequence on the integers.
 
-    ``entries`` holds the nonzero values as (index, value) pairs sorted by
-    index; ``support`` bounds the support (entries vanish for |k| beyond
-    it).
+    ``coef`` is a read-only complex array of odd length centred at the
+    origin: ``coef[support + k]`` is the value at k, and the sequence
+    vanishes for |k| beyond ``support``.  The constructor copies its
+    argument.
     """
 
-    entries: tuple[tuple[int, complex], ...]
-    support: int
-    _lookup: dict = field(default_factory=dict, repr=False, compare=False)
+    coef: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookup", {k: v for k, v in self.entries})
-        for k, v in self.entries:
-            if abs(k) > self.support:
-                raise InputError(f"entry at k={k} exceeds declared support {self.support}")
+        coef = np.array(self.coef, dtype=complex)
+        if coef.ndim != 1 or coef.size % 2 == 0:
+            raise InputError(f"a two-sided sequence needs a 1-d array of odd length, got shape {coef.shape}")
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
 
-    @staticmethod
-    def from_dict(values: dict, support: int | None = None) -> "TwoSidedSeq":
-        items = tuple(sorted((int(k), complex(v)) for k, v in values.items() if complex(v) != 0))
-        bound = max((abs(k) for k, _ in items), default=0)
-        if support is None:
-            support = bound
-        return TwoSidedSeq(entries=items, support=int(support))
+    @property
+    def support(self) -> int:
+        return self.coef.size // 2
 
     @staticmethod
     def delta(k: int = 0, value: complex = 1.0 + 0j) -> "TwoSidedSeq":
-        return TwoSidedSeq.from_dict({k: value})
+        coef = np.zeros(2 * abs(k) + 1, dtype=complex)
+        coef[abs(k) + k] = value
+        return TwoSidedSeq(coef)
 
     @staticmethod
     def indicator(n: int) -> "TwoSidedSeq":
         """The sequence equal to 1 on [-n, n] and 0 elsewhere."""
-        return TwoSidedSeq.from_dict({k: 1.0 + 0j for k in range(-n, n + 1)})
-
-    def value(self, k: int) -> complex:
-        return self._lookup.get(k, 0j)
-
-    def __call__(self, k: int) -> complex:
-        return self.value(k)
+        return TwoSidedSeq(np.ones(2 * n + 1, dtype=complex))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def weighted_norm(a: TwoSidedSeq, w: Weight) -> float:
     """Hilbert norm (sum over k of w(k)^2 |a(k)|^2)^(1/2), an exact finite sum.
 
-    Terms accumulate in ascending index order so repeated evaluations are
-    bit-identical.
+    The weight is evaluated at the nonzero indices only, and the terms
+    accumulate as a running sum in ascending index order (not pairwise),
+    so repeated evaluations are bit-identical.
     """
-    acc = 0.0
-    for k, v in a.entries:
-        wk = float(w(k))
-        acc += (wk * wk) * (v.real * v.real + v.imag * v.imag)
-    return math.sqrt(acc)
+    idx = np.flatnonzero(a.coef)
+    if idx.size == 0:
+        return 0.0
+    v = a.coef[idx]
+    wk = w(idx - a.support)
+    return math.sqrt(np.cumsum((wk * wk) * (v.real * v.real + v.imag * v.imag))[-1])
 
 
-def _canonical_key(a: TwoSidedSeq):
-    return (a.support, tuple((k, v.real, v.imag) for k, v in a.entries))
+def _precedes(a: TwoSidedSeq, b: TwoSidedSeq) -> bool:
+    """Canonical operand order: by support, then by the (re, im) values in index order."""
+    if a.support != b.support:
+        return a.support < b.support
+    fa, fb = a.coef.view(float), b.coef.view(float)
+    diff = np.flatnonzero(fa != fb)
+    return diff.size == 0 or bool(fa[diff[0]] < fb[diff[0]])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> TwoSidedSeq:
     """Convolution (a*b)(k) = sum_j a(k-j) b(j) by direct summation.
 
-    The operand pair is put into a canonical order first, so convolve(a, b)
-    and convolve(b, a) run the identical summation and agree bit-exactly.
+    The operand pair is put into a canonical order (x, y) first, so
+    convolve(a, b) and convolve(b, a) run the identical summation and
+    agree bit-exactly.  Each nonzero y(j) adds x shifted by j, so every
+    output sums its terms in ascending j; the products are spelled out in
+    real arithmetic because numpy's complex multiply rounds differently
+    from the scalar one.
     """
-    x, y = (a, b) if _canonical_key(a) <= _canonical_key(b) else (b, a)
-    out: dict[int, complex] = {}
-    kmax = x.support + y.support
-    for k in range(-kmax, kmax + 1):
-        jlo = max(-y.support, k - x.support)
-        jhi = min(y.support, k + x.support)
-        acc = 0j
-        for j in range(jlo, jhi + 1):
-            acc += x.value(k - j) * y.value(j)
-        if acc != 0j:
-            out[k] = acc
-    return TwoSidedSeq.from_dict(out, support=kmax)
+    x, y = (a, b) if _precedes(a, b) else (b, a)
+    out = np.zeros(2 * (x.support + y.support) + 1, dtype=complex)
+    re, im = out.real, out.imag
+    xr, xi = x.coef.real, x.coef.imag
+    n = x.coef.size
+    for j in np.flatnonzero(y.coef):
+        yr, yi = y.coef.real[j], y.coef.imag[j]
+        re[j : j + n] += xr * yr - xi * yi
+        im[j : j + n] += xr * yi + xi * yr
+    return TwoSidedSeq(out)
 
 
 def convolution_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: float) -> float:
@@ -360,11 +363,7 @@ class ConvLemmaReport:
 
 
 def _random_pair(rng, n: int) -> tuple[TwoSidedSeq, TwoSidedSeq]:
-    def one():
-        vals = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-        return TwoSidedSeq.from_dict({k - n: vals[k] for k in range(2 * n + 1)})
-
-    return one(), one()
+    return tuple(TwoSidedSeq(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)) for _ in range(2))
 
 
 def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTrials()) -> ConvLemmaReport:
@@ -384,19 +383,14 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
     bounded = margin > 0.5
     regime = "bounded" if bounded else "fails to hold"
 
-    family = "random" if bounded else "indicator"
-
     rng = np.random.default_rng(trials.seed)
     samples = []
     for n in trials.sizes:
-        ratios = []
-        if family == "indicator":
-            a = TwoSidedSeq.indicator(n)
-            ratios.append(convolution_ratio(a, a, s, r, t))
+        if bounded:
+            ratios = [convolution_ratio(*_random_pair(rng, n), s, r, t) for _ in range(trials.pairs_per_size)]
         else:
-            for _ in range(trials.pairs_per_size):
-                a, b = _random_pair(rng, n)
-                ratios.append(convolution_ratio(a, b, s, r, t))
+            a = TwoSidedSeq.indicator(n)
+            ratios = [convolution_ratio(a, a, s, r, t)]
         samples.append(ConvSizeSample(size=n, max_ratio=max(ratios), mean_ratio=float(np.mean(ratios))))
 
     trend_ok = all(

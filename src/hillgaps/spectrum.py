@@ -26,7 +26,6 @@ EDGE_ATOL = 1e-10
 EDGE_RTOL = 1e-10
 
 _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
-_BRACKET_EXPAND = 1.6  # growth of the step that searches left of the spectrum
 _ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
 _MAX_REFINE = 200  # refinement steps before a bracket that will not close is an error
 _GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL * gamma
@@ -521,16 +520,17 @@ def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
 
 
 def _lambda0_left(prop: _Propagator) -> tuple[float, float]:
-    """A point left of the spectrum, where D = trace^2 - 4 > 0, and D there."""
+    """A point left of the spectrum, where D = trace^2 - 4 > 0, and D there.
+
+    For lambda <= min q the trace is at least 2 cosh sqrt(min q - lambda),
+    and this point lies at least 1 below min q, so D >= 4 sinh^2 1 ~ 5.5:
+    no search is needed, and D <= 0 there is a failed sweep.
+    """
     lo = -prop.q.l1_bound() - 1.0
-    width = 1.0
-    for _ in range(60):
-        disc = float(prop.delta(lo)[1][0])
-        if disc > 0.0:
-            return lo, disc
-        lo -= width
-        width *= _BRACKET_EXPAND
-    raise BracketError("no left bracket for the lowest edge within the expansion budget")
+    disc = float(prop.delta(lo)[1][0])
+    if not disc > 0.0:
+        raise BracketError(f"D = {disc!r} at lambda = {lo!r}, left of the spectrum, where it must be positive")
+    return lo, disc
 
 
 def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float]:

@@ -10,17 +10,20 @@ import numpy as np
 from hillgaps import TwoSidedSeq
 
 
-def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> dict:
-    """Literal double-sum convolution: sum_j a(k-j) b(j), ascending j."""
-    out = {}
+def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> np.ndarray:
+    """Literal double-sum convolution sum_j a(k-j) b(j), ascending j, as a centred array."""
+
+    def at(seq, k):
+        return complex(seq.coef[seq.support + k]) if abs(k) <= seq.support else 0j
+
+    out = []
     kmax = a.support + b.support
     for k in range(-kmax, kmax + 1):
         acc = 0j
         for j in range(-b.support, b.support + 1):
-            acc += a.value(k - j) * b.value(j)
-        if acc != 0j:
-            out[k] = acc
-    return out
+            acc += at(a, k - j) * at(b, j)
+        out.append(acc)
+    return np.array(out)
 
 
 def _pw(s: float, kmax: int) -> np.ndarray:

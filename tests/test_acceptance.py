@@ -159,7 +159,7 @@ def test_criterion_7_convolution_both_regimes():
     for _ in range(200):
         def draw():
             v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-            return TwoSidedSeq.from_dict({k - 16: v[k] for k in range(33)})
+            return TwoSidedSeq(v)
         worst = max(worst, convolution_ratio(draw(), draw(), 1.0, 1.0, 1.0))
     bounded_ok = worst <= const * (1 + 1e-9)
     rep = conv_lemma_report(0.0, 0.0, 0.0, ConvTrials(sizes=(8, 16, 32)))

@@ -274,11 +274,15 @@ def test_out_into_missing_directory_exit_2(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, extra",
-    [(HUGE_K, []), ({"coeffs": [{"k": 1, "re": 0.1}]}, ["--trunc", "100000"])],
-    ids=["huge-k", "huge-trunc"],
+    "command, doc, extra",
+    [
+        (command, doc, extra)
+        for command in ("spectrum", "gaps", "verify")
+        for doc, extra in ((HUGE_K, []), ({"coeffs": [{"k": 1, "re": 0.1}]}, ["--trunc", "100000"]))
+    ],
+    ids=[f"{case}{suffix}" for suffix in ("", "-gaps", "-verify") for case in ("huge-k", "huge-trunc")],
 )
-def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, doc, extra):
+def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, command, doc, extra):
     pot = files["dir"] / "bound.json"
     pot.write_text(json.dumps(doc), encoding="utf-8")
 
@@ -288,7 +292,7 @@ def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, doc, extra
     monkeypatch.setattr(spectrum, "galerkin_matrix", no_matrix)
     tracemalloc.start()
     try:
-        rc = main(["spectrum", "--potential", str(pot), "--nmax", "2", "--method", "galerkin"] + extra)
+        rc = main([command, "--potential", str(pot), "--nmax", "2", "--method", "galerkin"] + extra)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,6 +470,7 @@ def _run_contract(d: Path, pot, argv: list[str], weights=()) -> None:
     fmt=st.sampled_from(["csv", "json"]),
 )
 @example(command="spectrum", nmax=2, pot=HUGE_K, weights=[], fmt="csv")
+@example(command="verify", nmax=2, pot=HUGE_K, weights=[], fmt="json")
 @example(command="verify", nmax=1, pot={"coeffs": [{"k": 2, "re": 1e154}]}, weights=[], fmt="json")
 def test_cli_exit_code_contract(command, nmax, pot, weights, fmt):
     argv = [command, "--nmax", str(nmax), "--method", "galerkin", "--format", fmt]

@@ -78,9 +78,9 @@ def test_reality_of_complex_form():
         xs = np.linspace(0, 1, 1024, endpoint=False)
         seq = q.two_sided()
         vals = np.zeros(xs.size, dtype=complex)
-        for k, v in seq.entries:
+        for k, v in zip(range(-seq.support, seq.support + 1), seq.coef):
             vals += v * np.exp(2j * np.pi * k * xs)
-        l1 = sum(abs(v) for _, v in seq.entries)
+        l1 = np.sum(np.abs(seq.coef))
         assert np.max(np.abs(vals.imag)) < 1e-12 * (1 + l1)
         assert np.allclose(vals.real, q.evaluate(xs), atol=1e-12 * (1 + l1))
 

@@ -23,20 +23,26 @@ from hillgaps import (
 
 
 def rand_seq(rng, n):
-    return TwoSidedSeq.from_dict(
-        {k - n: complex(v, w) for k, (v, w) in enumerate(zip(rng.standard_normal(2 * n + 1), rng.standard_normal(2 * n + 1)))}
-    )
+    return TwoSidedSeq(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
 
 
 def _scaled(a, factor):
-    return TwoSidedSeq.from_dict({k: factor * v for k, v in a.entries}, support=a.support)
+    return TwoSidedSeq(factor * a.coef)
 
 
 def _plus(a, b):
-    out = dict(a.entries)
-    for k, v in b.entries:
-        out[k] = out.get(k, 0j) + v
-    return TwoSidedSeq.from_dict(out, support=max(a.support, b.support))
+    n = max(a.support, b.support)
+    return TwoSidedSeq(np.pad(a.coef, n - a.support) + np.pad(b.coef, n - b.support))
+
+
+def _ascending_norm(a, w):
+    """Weighted norm as a per-index running sum in ascending k, one scalar weight call each."""
+    acc = 0.0
+    for k, v in zip(range(-a.support, a.support + 1), a.coef):
+        if v != 0:
+            wk = float(w(k))
+            acc += (wk * wk) * (v.real * v.real + v.imag * v.imag)
+    return math.sqrt(acc)
 
 
 # ---------------------------------------------------------------- weights
@@ -120,14 +126,36 @@ def test_weighted_norm_examples():
     w1 = power_weight(1.0)
     assert weighted_norm(TwoSidedSeq.delta(3), w1) == 7.0
     assert weighted_norm(TwoSidedSeq.delta(0), example_2_4_weight(2.0)) == 1.0
-    a = TwoSidedSeq.from_dict({1: 1.0, -1: 1.0})
+    a = TwoSidedSeq([1.0, 0.0, 1.0])
     assert weighted_norm(a, w1) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_weighted_norm_zero_iff_zero():
     w = power_weight(2.0)
-    assert weighted_norm(TwoSidedSeq.from_dict({}), w) == 0.0
-    assert weighted_norm(TwoSidedSeq.from_dict({5: 1e-120}), w) > 0.0
+    assert weighted_norm(TwoSidedSeq([0.0]), w) == 0.0
+    assert weighted_norm(TwoSidedSeq.delta(5, 1e-120), w) > 0.0
+
+
+@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=str)
+def test_weighted_norm_matches_ascending_scalar_sum_bitwise(w):
+    # these weights evaluate identically as arrays and as scalars over |k| <= 3000
+    rng = np.random.default_rng(23)
+    coef = rng.standard_normal(6001) + 1j * rng.standard_normal(6001)
+    coef[rng.integers(0, 6001, 500)] = 0.0
+    a = TwoSidedSeq(coef)
+    assert weighted_norm(a, w) == _ascending_norm(a, w)
+
+
+def test_sequence_coef_is_read_only_copy():
+    src = np.array([1.0, 2.0, 3.0])
+    a = TwoSidedSeq(src)
+    src[1] = 7.0
+    assert a.coef[1] == 2.0
+    assert not a.coef.flags.writeable
+    with pytest.raises(ValueError):
+        a.coef[1] = 5.0
+    with pytest.raises(InputError):
+        TwoSidedSeq([1.0, 2.0])
 
 
 def test_norm_axioms_on_random_sequences():
@@ -153,12 +181,12 @@ def test_norm_axioms_on_random_sequences():
 def test_convolve_identity_exact():
     rng = np.random.default_rng(3)
     a = rand_seq(rng, 6)
-    assert convolve(TwoSidedSeq.delta(0), a).entries == a.entries
+    assert np.array_equal(convolve(TwoSidedSeq.delta(0), a).coef, a.coef)
 
 
 def test_convolve_shift():
     out = convolve(TwoSidedSeq.delta(1), TwoSidedSeq.delta(2))
-    assert out.entries == ((3, 1 + 0j),)
+    assert np.array_equal(out.coef, TwoSidedSeq.delta(3).coef)
 
 
 def test_convolve_matches_double_sum_oracle():
@@ -166,11 +194,9 @@ def test_convolve_matches_double_sum_oracle():
     for _ in range(20):
         a = rand_seq(rng, 8)
         b = rand_seq(rng, 8)
-        got = convolve(a, b)
-        want = brute_convolve(a, b)
-        assert set(dict(got.entries)) == set(want)
-        for k, v in got.entries:
-            assert v == pytest.approx(want[k], rel=1e-14, abs=1e-14)
+        # convolve sums over the operand that sorts last by (support, values)
+        x, y = sorted((a, b), key=lambda s: (s.support, tuple(s.coef.view(float))))
+        assert np.array_equal(convolve(a, b).coef, brute_convolve(x, y))
 
 
 def test_convolve_commutative_bit_exact():
@@ -178,7 +204,7 @@ def test_convolve_commutative_bit_exact():
     for _ in range(20):
         a = rand_seq(rng, 7)
         b = rand_seq(rng, 4)
-        assert convolve(a, b).entries == convolve(b, a).entries
+        assert np.array_equal(convolve(a, b).coef, convolve(b, a).coef)
 
 
 def test_convolve_bilinear_and_support():
@@ -187,8 +213,9 @@ def test_convolve_bilinear_and_support():
     lam = 0.37 - 1.2j
     lhs = convolve(_plus(a, _scaled(b, lam)), c)
     rhs = _plus(convolve(a, c), _scaled(convolve(b, c), lam))
-    for k in range(-(lhs.support), lhs.support + 1):
-        assert lhs.value(k) == pytest.approx(rhs.value(k), rel=1e-12, abs=1e-12)
+    assert lhs.support == rhs.support
+    for u, v in zip(lhs.coef, rhs.coef):
+        assert u == pytest.approx(v, rel=1e-12, abs=1e-12)
     assert lhs.support <= _plus(a, b).support + c.support
 
 

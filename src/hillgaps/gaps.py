@@ -50,18 +50,21 @@ def rho(q: Potential, n: int) -> complex:
 
         rho(n) = 1/(4 pi^2) * sum_{a+b=n, a,b != 0} c(a) c(b) / (a b),
 
-    summed here over a = n-K..K with b = n-a for cutoff K (the terms with
-    a = 0 or b = 0 are left out).  Vanishes identically for n > 2K.
+    summed in ascending a over the nonzero coefficients c(a), a != 0, with
+    b = n - a nonzero and c(b) != 0.  The terms skipped are exact zeros, so
+    this has the bits of the sum over every a = n-K..K for cutoff K, in
+    O(number of coefficients) steps however large K is.  Vanishes
+    identically for n > 2K.
     """
     if n < 1:
         raise InputError("rho is defined for n >= 1")
-    k = q.cutoff
     acc = 0j
-    for a in range(n - k, k + 1):
+    for a, ca in q.nonzero_coefficients():
         b = n - a
-        if a == 0 or b == 0:
-            continue
-        acc += q.coefficient(a) * q.coefficient(b) / (a * b)
+        if a != 0 and b != 0:
+            cb = q.coefficient(b)
+            if cb:
+                acc += ca * cb / (a * b)
     return acc / (4.0 * math.pi * math.pi)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, as_float, as_int
-from .sequence_spaces import TwoSidedSeq, Weight, weighted_norm
+from .sequence_spaces import TwoSidedSeq, Weight, weighted_norm_at
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,11 @@ class Potential:
             coef[self.cutoff - k] = v.conjugate()
         return TwoSidedSeq(coef)
 
+    def nonzero_coefficients(self) -> list[tuple[int, complex]]:
+        """(k, c(k)) for every nonzero c(k) on the integers, mean included, in ascending k."""
+        mid = [(0, complex(self.mean))] if self.mean != 0.0 else []
+        return [(-k, v.conjugate()) for k, v in reversed(self.coeffs)] + mid + list(self.coeffs)
+
     def without_mean(self) -> "Potential":
         return Potential(mean=0.0, coeffs=self.coeffs)
 
@@ -95,11 +100,16 @@ def from_fourier(mean: float, coeffs) -> Potential:
 def hormander_norm(q: Potential, w: Weight) -> float:
     """Weighted norm of the full coefficient sequence (circle case).
 
-    Computed as the weighted sequence norm of the two-sided coefficients,
-    mean included with weight 1 at the origin, so it agrees with
-    :func:`hillgaps.sequence_spaces.weighted_norm` by the same summation.
+    The weighted sequence norm of the two-sided coefficients, mean included
+    with weight 1 at the origin.  It sums over the nonzero coefficients
+    only, in ascending index, so it costs O(number of coefficients) however
+    large the cutoff, and has the bits of
+    :func:`hillgaps.sequence_spaces.weighted_norm` on ``q.two_sided()``.
     """
-    return weighted_norm(q.two_sided(), w)
+    terms = q.nonzero_coefficients()
+    k = np.array([a for a, _ in terms], dtype=np.int64)
+    v = np.array([c for _, c in terms], dtype=complex)
+    return weighted_norm_at(k, v, w)
 
 
 # ----------------------------------------------------------------------

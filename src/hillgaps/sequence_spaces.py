@@ -268,7 +268,6 @@ class TwoSidedSeq:
         return TwoSidedSeq(np.ones(2 * n + 1, dtype=complex))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def weighted_norm(a: TwoSidedSeq, w: Weight) -> float:
     """Hilbert norm (sum over k of w(k)^2 |a(k)|^2)^(1/2), an exact finite sum.
 
@@ -277,10 +276,19 @@ def weighted_norm(a: TwoSidedSeq, w: Weight) -> float:
     so repeated evaluations are bit-identical.
     """
     idx = np.flatnonzero(a.coef)
-    if idx.size == 0:
+    return weighted_norm_at(idx - a.support, a.coef[idx], w)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def weighted_norm_at(k: np.ndarray, v: np.ndarray, w: Weight) -> float:
+    """(sum_i w(k_i)^2 |v_i|^2)^(1/2) for integer indices ``k``, summed in their order.
+
+    The summation of :func:`weighted_norm`: with ``k`` ascending and the
+    zero values left out it gives the same bits.
+    """
+    if k.size == 0:
         return 0.0
-    v = a.coef[idx]
-    wk = w(idx - a.support)
+    wk = w(k)
     return math.sqrt(np.cumsum((wk * wk) * (v.real * v.real + v.imag * v.imag))[-1])
 
 

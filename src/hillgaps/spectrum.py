@@ -36,6 +36,7 @@ _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a d
 _D_ROUNDING = 64.0 * np.finfo(float).eps
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
+_SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers for a batch of <= _BLOCK_ELEMS / 2
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
 
 
@@ -48,15 +49,21 @@ class GalerkinConfig:
     """Truncation policy for the Fourier basis solver.
 
     ``n_trunc`` is the number of retained frequencies per side; when left
-    unset it defaults to max(64, 4 n_max + 2 K), comfortably past the
-    resonances that feed the reported edges.  Either way it must lie in
-    [2 n_max + 16, 4096].
+    unset it defaults to max(64, 2 n_max + 16, n_max + 2 K).  Edge n lives
+    near basis index n / 2 and c(k) couples index j only to j +- k with
+    |k| <= K, so n_max + 2 K reaches at least two full coupling hops past
+    the highest reported edge; 2 n_max + 16 is the safety floor and 64
+    keeps small problems as they are.  Rayleigh-Ritz edges converge from
+    above, quadratically in the eigenvector tail cut off, while the
+    eigensolver's rounding floor grows like n_trunc^2, so a truncation
+    larger than this costs accuracy as well as time.  Either way it must
+    lie in [2 n_max + 16, 4096].
     """
 
     n_trunc: int | None = None
 
     def resolve(self, n_max: int, cutoff: int) -> int:
-        n = self.n_trunc if self.n_trunc is not None else max(64, 4 * n_max + 2 * cutoff)
+        n = self.n_trunc if self.n_trunc is not None else max(64, 2 * n_max + 16, n_max + 2 * cutoff)
         if n < 2 * n_max + 16:
             raise InputError(f"n_trunc={n} below the safety floor {2 * n_max + 16}")
         if n > _MAX_TRUNC:
@@ -399,6 +406,10 @@ class _Propagator:
         self.retries_left = _MAX_STEP_RETRIES
         self._grid_for = 0
         self._qvals: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+        # the sweep buffers, kept across sweeps: arrays this large come fresh
+        # from mmap unless malloc's threshold happens to lie above them, and
+        # then every sweep page-faults them in again
+        self._space = np.empty(0)
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray]:
         if self._grid_for != self.steps:
@@ -409,13 +420,19 @@ class _Propagator:
             self._qvals, self._grid_for = (qa, qb), self.steps
         return self._qvals
 
-    @staticmethod
-    def _sweep(qa: np.ndarray, qb: np.ndarray, steps: int, lams: np.ndarray):
+    def _sweep(self, qa: np.ndarray, qb: np.ndarray, steps: int, lams: np.ndarray):
         nl = lams.size
         block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
-        bufs = (np.empty((4, block, nl)), np.empty((4, max(1, block // 2), nl)))
-        tmp = np.empty((3, max(1, block // 2), nl))
-        work = np.empty((3, block, nl))
+        half = max(1, block // 2)
+        big, small = block * nl, half * nl
+        if self._space.size < 7 * (big + small):
+            # at once the size that any batch of up to _BLOCK_ELEMS / 2 points
+            # needs: a buffer grown batch by batch kept about 1 MB more resident
+            self._space = np.empty(max(7 * (big + small), _SWEEP_SPACE))
+        space = self._space
+        bufs = (space[: 4 * big].reshape(4, block, nl), space[4 * big : 4 * (big + small)].reshape(4, half, nl))
+        tmp = space[4 * (big + small) : 4 * big + 7 * small].reshape(3, half, nl)
+        work = space[4 * big + 7 * small : 7 * (big + small)].reshape(3, block, nl)
         h = 1.0 / steps
         stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
@@ -549,6 +566,20 @@ def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float
     return c, k, d1 + k * (c - x1) ** 2
 
 
+def _check_double_root(n: int, lam: float, d: float, b: float) -> None:
+    """Raise BracketError unless D's largest sample ``d`` on gap n + 1 could sit at a double root.
+
+    At a true double root D peaks at least -B, and samples spaced at most
+    4 sqrt(B / k) apart miss that peak by at most 4 B more, so a largest
+    sample below -8 B means both probes around the gap lie inside one band.
+    """
+    if d < -8.0 * b:
+        raise BracketError(
+            f"gap {n + 1}: D peaks at {float(d)!r} at lambda = {float(lam)!r}, far below its "
+            f"rounding bound {float(b)!r}: the band probes around it lie inside one band"
+        )
+
+
 def _root_tol(x, cap):
     """Refinement tolerance at x: min(_ROOT_TOL (1 + |x|), cap), at least 4 ulp(x)."""
     x = np.abs(x)
@@ -632,8 +663,11 @@ def band_edges_discriminant(
     most 4 sqrt(B / k) apart with none above B, the gap is below the
     rounding bound of D and reported collapsed, with identical edges at c;
     a gap still pending after ``_MAX_JUMPS`` jumps collapses at its best
-    sample.  A safeguarded secant then refines lambda_0 and both edges of
-    every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 + |lambda|)
+    sample.  Either collapse raises BracketError instead when the largest
+    sample lies below -8 B: a double root peaks at least -B, so the probes
+    around such a gap sit inside one band.  A safeguarded secant then
+    refines lambda_0 and both edges of every open gap as sign changes of
+    D, each to ``_ROOT_TOL`` (1 + |lambda|)
     but to at most ``_GAP_RTOL`` of the gap's parabola width
     2 sqrt(P / k), and never below 4 ulp(lambda).
     """
@@ -670,6 +704,7 @@ def band_edges_discriminant(
             c, k, peak = _parabola(x, d, i)
             spacing = 0.5 * float(x[i + 1] - x[i - 1])
             if k > 0.0 and spacing <= 4.0 * math.sqrt(b[i] / k):
+                _check_double_root(n, x[best], d[best], b[best])
                 collapsed_at[n] = c
                 continue
             if k > 0.0:
@@ -680,6 +715,7 @@ def band_edges_discriminant(
             new = np.unique(np.clip([c - w, c, c + w], x[i - 1], x[i + 1]))
             new = new[~np.isin(new, x)]
             if jump == _MAX_JUMPS or new.size == 0:  # the best sample stands as the double root
+                _check_double_root(n, x[best], d[best], b[best])
                 collapsed_at[n] = float(x[best])
                 continue
             jumps[n] = new

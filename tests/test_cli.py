@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -300,6 +301,29 @@ def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, command, d
     assert peak < 1 << 20
     err = capsys.readouterr().err
     assert "n_trunc=" in err and "4096" in err
+
+
+def test_gaps_discriminant_on_huge_cutoff_finishes(files, capsys):
+    # rho and the default fit range sum over the nonzero coefficients, not over -K..K
+    pot = files["dir"] / "huge.json"
+    pot.write_text(json.dumps(HUGE_K), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main(["gaps", "--potential", str(pot), "--nmax", "2", "--method", "discriminant", "--steps", "256"])
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_spectrum_both_probes_in_one_band_exit_3(files, capsys):
+    # the band probes on both sides of gap 1 fall inside one band of this strong
+    # potential, where D peaks at -0.19 with a rounding bound of 4e-14: no collapse
+    pot = files["dir"] / "strong.json"
+    pot.write_text(json.dumps({"mean": 0, "coeffs": [{"k": 3, "re": 40, "im": 7}]}), encoding="utf-8")
+    out = files["dir"] / "edges.csv"
+    rc = main(["spectrum", "--potential", str(pot), "--nmax", "12", "--method", "both", "--out", str(out)])
+    assert rc == 3
+    assert "inside one band" in capsys.readouterr().err
+    assert list(files["dir"].glob("edges*")) == []
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,27 @@ def test_rho_vanishes_past_cutoff():
     assert rho(ZERO, 7) == 0j
 
 
+def test_rho_sparse_sum_matches_dense_loop_bitwise():
+    # the sum over the nonzero coefficients skips only exact-zero terms of the
+    # dense loop over a = n-K..K, so it has the same bits
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        ks = np.flatnonzero(rng.random(30) < 0.4) + 1
+        q = from_fourier(rng.normal(), [(int(k), complex(*rng.normal(size=2))) for k in ks])
+        for n in range(1, 2 * q.cutoff + 2):
+            dense = 0j
+            for a in range(n - q.cutoff, q.cutoff + 1):
+                if a != 0 and a != n:
+                    dense += q.coefficient(a) * q.coefficient(n - a) / (a * (n - a))
+            assert rho(q, n) == dense / (4.0 * math.pi * math.pi)
+
+
+def test_rho_huge_cutoff_is_immediate():
+    q = from_fourier(0.0, [(10**12, 0.1)])
+    assert rho(q, 1) == 0j
+    assert rho(q, 2 * 10**12) == pytest.approx(0.01 / (4 * math.pi**2 * 10**24), rel=1e-15)
+
+
 def test_rho_requires_positive_index():
     with pytest.raises(InputError):
         rho(mathieu(0.1), 0)

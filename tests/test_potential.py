@@ -104,10 +104,21 @@ def test_hormander_norm_matches_direct_sum():
 
 
 def test_hormander_norm_equals_weighted_norm_exactly():
-    w = power_weight(1.5)
-    for seed in range(100):
-        q = random_hs(1.0, 16, seed)
-        assert hormander_norm(q, w) == weighted_norm(q.two_sided(), w)
+    # the sum over the nonzero coefficients has the bits of the dense two-sided
+    # norm, also with holes in the coefficients and a nonzero mean
+    rng = np.random.default_rng(7)
+    sparse = [
+        from_fourier(rng.normal(), [(int(k), complex(*rng.normal(size=2))) for k in np.flatnonzero(rng.random(40) < 0.3) + 1])
+        for _ in range(20)
+    ]
+    for q in [random_hs(1.0, 16, seed) for seed in range(100)] + sparse:
+        for s in (1.5, 0.0, -0.7):
+            assert hormander_norm(q, power_weight(s)) == weighted_norm(q.two_sided(), power_weight(s))
+
+
+def test_hormander_norm_huge_cutoff_without_dense_sequence():
+    q = from_fourier(0.0, [(10**12, 0.1)])
+    assert hormander_norm(q, power_weight(0.0)) == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_power_decay_coefficients():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillgaps import (
     BandEdges,
@@ -161,6 +163,45 @@ def test_galerkin_matrix_rejects_aliasing_and_mean():
 def test_galerkin_config_floor():
     with pytest.raises(InputError):
         band_edges_galerkin(ZERO, 30, GalerkinConfig(n_trunc=64))
+
+
+def test_galerkin_default_truncation():
+    assert GalerkinConfig().resolve(8, 16) == 64
+    assert GalerkinConfig().resolve(128, 128) == 384
+    assert GalerkinConfig().resolve(96, 32) == 208
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2000), st.integers(0, 4096))
+def test_galerkin_default_within_floor_and_former_default(n_max, cutoff):
+    # never below the safety floor, and never above max(64, 4 n_max + 2 K): the
+    # default solves every input it solved before, at no larger a matrix
+    former = max(64, 4 * n_max + 2 * cutoff)
+    try:
+        n = GalerkinConfig().resolve(n_max, cutoff)
+    except InputError:
+        assert former > 4096
+        return
+    assert max(2 * n_max + 16, cutoff) <= n <= former
+
+
+@pytest.mark.parametrize(
+    "q, n_max",
+    [(random_hs(1.0, 48, 3), 48), (random_hs(0.0, 96, 1), 16), (power_decay(2.0, 32), 60)],
+    ids=["K=n", "K>>n", "K<<n"],
+)
+def test_default_truncation_edges(q, n_max):
+    # at the default truncation the edges agree with the discriminant route, and
+    # doubling the truncation moves them by no more than the eigensolver's
+    # rounding floor, 8 eps ||A|| with ||A|| ~ (2 pi (n_trunc + 1))^2 for each solve
+    edges = band_edges_galerkin(q, n_max)
+    ref = band_edges_discriminant(q, n_max).all_edges()
+    got = edges.all_edges()
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(ref)))) <= 1e-10
+    n_trunc = edges.resolution
+    doubled = band_edges_galerkin(q, n_max, GalerkinConfig(n_trunc=2 * n_trunc)).all_edges()
+    floor = 8.0 * np.finfo(float).eps * sum((2.0 * np.pi * (n + 1)) ** 2 for n in (n_trunc, 2 * n_trunc))
+    assert np.max(np.abs(got - doubled)) <= floor
 
 
 # ------------------------------------------------------------- free operator

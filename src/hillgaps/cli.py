@@ -93,7 +93,7 @@ def _weights_from_args(args) -> list:
 
 def _configs(args) -> tuple[GalerkinConfig, DiscriminantConfig]:
     g = GalerkinConfig(n_trunc=args.trunc)
-    d = DiscriminantConfig(steps=args.steps) if args.steps else DiscriminantConfig()
+    d = DiscriminantConfig(steps=args.steps) if args.steps is not None else DiscriminantConfig()
     return g, d
 
 

@@ -38,6 +38,8 @@ _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
 _SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers for a batch of <= _BLOCK_ELEMS / 2
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
+_MAX_STEPS = 65536  # largest integrator step count: a sweep at it is 32x one at the default
+_SCAN_POINTS = 9  # samples of D per inter-band window, its two band probes included
 
 
 def _edge_tol(x: float) -> float:
@@ -76,13 +78,15 @@ class GalerkinConfig:
 
 @dataclass(frozen=True)
 class DiscriminantConfig:
-    """Integrator step count for the monodromy-trace solver."""
+    """Integrator step count for the monodromy-trace solver, in [256, 65536]."""
 
     steps: int = 2048
 
     def __post_init__(self):
         if self.steps < 256:
             raise InputError(f"steps={self.steps} below the minimum 256")
+        if self.steps > _MAX_STEPS:
+            raise InputError(f"steps={self.steps} exceeds the largest step count {_MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -397,9 +401,19 @@ class _Propagator:
     det(I + E) remains the on-line accuracy witness: on failure the step
     count doubles, twice at most.  A non-finite trace, D or witness is an
     overflow, which more steps cannot cure, so it raises at once.
+
+    The grid puts 2 steps / K Gauss points on each oscillation of the
+    potential's highest harmonic K.  Below 8 of them (4 K > steps) the
+    sweep no longer resolves q, and far below it aliases q outright, so
+    that raises InputError.
     """
 
     def __init__(self, q: Potential, steps: int):
+        if 4 * q.cutoff > steps:
+            raise InputError(
+                f"steps={steps} below 4 K = {4 * q.cutoff} for the potential cutoff K={q.cutoff}: "
+                "the integrator grid would alias the potential"
+            )
         self.q = q
         self.requested = steps
         self.steps = steps
@@ -512,42 +526,36 @@ def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = Discriminan
     return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
 
-def _band_probes(prop: _Propagator, n_max: int) -> np.ndarray:
-    """One spectral point strictly inside each band 0..n_max (|trace| < 2)."""
-    probes = (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2
-    vals = prop.delta(probes)[0]
-    bad = np.where(np.abs(vals) >= 2.0)[0]
-    for n in bad:
+def _band_probes(prop: _Propagator, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A point left of the spectrum, then one point strictly inside each band 0..n_max.
+
+    Returns the points with D = trace^2 - 4 and its rounding bound B at
+    each.  The first point and the free operator's band centres share one
+    sweep; a centre with |trace| >= 2 is searched for on finer grids of its
+    free band.  For lambda <= min q the trace is at least 2 cosh sqrt(min q
+    - lambda), and the first point lies at least 1 below min q, so D >= 4
+    sinh^2 1 ~ 5.5 there: no search is needed, and D <= 0 there is a
+    failed sweep.
+    """
+    x = np.concatenate(([-prop.q.l1_bound() - 1.0], (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2))
+    delta, d, b = prop.delta(x)
+    for n in np.flatnonzero(np.abs(delta[1:]) >= 2.0):
         lo = (np.pi * n) ** 2
         hi = (np.pi * (n + 1)) ** 2
-        found = False
         count = 17
         for _ in range(3):
             xs = np.linspace(lo, hi, count + 2)[1:-1]
-            vs = prop.delta(xs)[0]
+            vs, ds, bs = prop.delta(xs)
             i = int(np.argmin(np.abs(vs)))
             if abs(vs[i]) < 2.0 - 1e-9:
-                probes[n] = xs[i]
-                found = True
+                x[n + 1], d[n + 1], b[n + 1] = xs[i], ds[i], bs[i]
                 break
             count *= 3
-        if not found:
+        else:
             raise BracketError(f"no interior point found for band {n}")
-    return probes
-
-
-def _lambda0_left(prop: _Propagator) -> tuple[float, float]:
-    """A point left of the spectrum, where D = trace^2 - 4 > 0, and D there.
-
-    For lambda <= min q the trace is at least 2 cosh sqrt(min q - lambda),
-    and this point lies at least 1 below min q, so D >= 4 sinh^2 1 ~ 5.5:
-    no search is needed, and D <= 0 there is a failed sweep.
-    """
-    lo = -prop.q.l1_bound() - 1.0
-    disc = float(prop.delta(lo)[1][0])
-    if not disc > 0.0:
-        raise BracketError(f"D = {disc!r} at lambda = {lo!r}, left of the spectrum, where it must be positive")
-    return lo, disc
+    if not d[0] > 0.0:
+        raise BracketError(f"D = {d[0]!r} at lambda = {x[0]!r}, left of the spectrum, where it must be positive")
+    return x, d, b
 
 
 def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float]:
@@ -586,64 +594,62 @@ def _root_tol(x, cap):
     return np.maximum(np.minimum(_ROOT_TOL * (1.0 + x), cap), 4.0 * np.spacing(x))
 
 
-def _refine_roots(fn, a, fa, b, fb, cap=math.inf):
-    """Batched safeguarded secant on sign-changing brackets, each to its tolerance.
+@np.errstate(all="ignore")  # a degenerate interpolant is rejected below by its non-finite step
+def _refine_roots(fn, a, fa, b, fb, cap=math.inf, guess=math.nan):
+    """Batched Chandrupatla iteration on sign-changing brackets, each to its tolerance.
 
     ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
     opposite sign (or zero); ``fn(x, idx)`` evaluates f of the edges
-    ``idx`` at ``x``.  Each step tries the secant through the two points
-    of an edge with the smallest |f| so far, inside its live bracket.  A
-    secant step that moves less than half the tolerance is pushed out to
-    half the tolerance, so the bracket can close from the far side, and a
-    secant step that fails to halve the bracket is followed by a
-    bisection.  An edge leaves the batch once its bracket is at most
+    ``idx`` at ``x``.  Each step evaluates one point per open bracket, which
+    replaces the bracket end of its sign, so the bracket always holds a
+    sign change.  The first point is the edge's ``guess``, or the midpoint
+    where that is NaN.  Every later point comes from the inverse quadratic
+    through the two ends and the point dropped last where that interpolant
+    is monotone over the bracket, else it is the midpoint (Chandrupatla,
+    Adv. Eng. Software 28 (1997) 145-149).  Every point stays at least half
+    the tolerance inside the bracket, so once the newest end lies within
+    half the tolerance of the root the next step closes the bracket from
+    the far side.  An edge leaves the batch once its bracket is at most
     :func:`_root_tol` wide, with the edge's ``cap``, or it hits an exact
     zero; returns the endpoint with the smaller |f| of each bracket.
     Raises BracketError if any bracket is still open after ``_MAX_REFINE``
     steps.
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    cap = np.broadcast_to(np.asarray(cap, dtype=float), a.shape)
-    # an exact zero at an endpoint is already the root
-    hit = fa == 0.0
-    b, fb = np.where(hit, a, b), np.where(hit, fa, fb)
-    hit = fb == 0.0
-    a, fa = np.where(hit, b, a), np.where(hit, fb, fa)
-    a_best = np.abs(fa) <= np.abs(fb)
-    x0, f0 = np.where(a_best, b, a), np.where(a_best, fb, fa)
-    x1, f1 = np.where(a_best, a, b), np.where(a_best, fa, fb)
-    bisect = np.zeros(a.size, dtype=bool)
-    for _ in range(_MAX_REFINE):
-        width = np.abs(b - a)
-        tol = _root_tol(b, cap)
-        live = np.flatnonzero(width > tol)
+    # x1 is the newest bracket end, x2 the other, x3 the end dropped last
+    x1, f1, x2, f2 = (np.array(v, dtype=float) for v in (a, fa, b, fb))
+    x3, f3 = x2.copy(), f2.copy()
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), x1.shape)
+    guess = np.broadcast_to(np.asarray(guess, dtype=float), x1.shape)
+    t = np.where(np.isnan(guess), 0.5, (guess - x1) / (x2 - x1))  # next point x1 + t (x2 - x1)
+    for step in range(_MAX_REFINE + 1):
+        first = np.abs(f1) <= np.abs(f2)
+        xm, fm = np.where(first, x1, x2), np.where(first, f1, f2)
+        width = np.abs(x2 - x1)
+        tol = _root_tol(xm, cap)
+        live = np.flatnonzero((width > tol) & (fm != 0.0))
         if live.size == 0:
-            return np.where(np.abs(fa) <= np.abs(fb), a, b)
-        la, lb, lx0, lx1, lf0, lf1 = a[live], b[live], x0[live], x1[live], f0[live], f1[live]
-        mid = 0.5 * (la + lb)
-        denom = lf1 - lf0
-        secant = ~bisect[live] & (denom != 0.0)
-        cand = lx1 - lf1 * (lx1 - lx0) / np.where(secant, denom, 1.0)
-        half_tol = 0.5 * tol[live]
-        cand = np.where(np.abs(cand - lx1) < half_tol, lx1 + np.copysign(half_tol, cand - lx1), cand)
-        secant &= (cand > np.minimum(la, lb)) & (cand < np.maximum(la, lb))
-        cand = np.where(secant, cand, mid)
-        fc = np.asarray(fn(cand, live), dtype=float)
-        # cand replaces the endpoint of its sign; an exact zero closes the bracket
-        exact = fc == 0.0
-        left = exact | (np.sign(fc) == np.sign(fa[live]))
-        right = exact | ~left
-        a[live], fa[live] = np.where(left, cand, la), np.where(left, fc, fa[live])
-        b[live], fb[live] = np.where(right, cand, lb), np.where(right, fc, fb[live])
-        bisect[live] = secant & (np.abs(b[live] - a[live]) > 0.5 * width[live])
-        # x1 holds the point with the smallest |f|, x0 the runner-up
-        best = np.abs(fc) < np.abs(lf1)
-        second = ~best & (np.abs(fc) < np.abs(lf0))
-        x0[live] = np.where(best, lx1, np.where(second, cand, lx0))
-        f0[live] = np.where(best, lf1, np.where(second, fc, lf0))
-        x1[live], f1[live] = np.where(best, cand, lx1), np.where(best, fc, lf1)
-    i = int(np.flatnonzero(np.abs(b - a) > _root_tol(b, cap))[0])
-    raise BracketError(f"bracket [{a[i]!r}, {b[i]!r}] still open after {_MAX_REFINE} refinement steps")
+            return xm
+        if step == _MAX_REFINE:
+            i = int(live[0])
+            raise BracketError(f"bracket [{x1[i]!r}, {x2[i]!r}] still open after {_MAX_REFINE} refinement steps")
+        lx1, lf1, lx2, lf2 = x1[live], f1[live], x2[live], f2[live]
+        margin = 0.5 * tol[live] / width[live]
+        xt = lx1 + np.clip(t[live], margin, 1.0 - margin) * (lx2 - lx1)
+        ft = np.asarray(fn(xt, live), dtype=float)
+        same = np.sign(ft) == np.sign(lf1)
+        x3[live], f3[live] = np.where(same, lx1, lx2), np.where(same, lf1, lf2)
+        x2[live], f2[live] = np.where(same, lx2, lx1), np.where(same, lf2, lf1)
+        x1[live], f1[live] = xt, ft
+        nx1, nf1, nx2, nf2, nx3, nf3 = (v[live] for v in (x1, f1, x2, f2, x3, f3))
+        # the inverse quadratic is monotone over the bracket iff phi^2 < xi
+        # and (1 - phi)^2 < 1 - xi, with xi and phi where x1 and f1 sit
+        # between x2 and x3 and between f2 and f3
+        xi = (nx1 - nx2) / (nx3 - nx2)
+        phi = (nf1 - nf2) / (nf3 - nf2)
+        alpha = (nx3 - nx1) / (nx2 - nx1)
+        iqi = nf1 / (nf1 - nf2) * nf3 / (nf3 - nf2) - alpha * nf1 / (nf3 - nf1) * nf2 / (nf2 - nf3)
+        use = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(iqi)
+        t[live] = np.where(use, iqi, 0.5)
 
 
 def band_edges_discriminant(
@@ -653,8 +659,9 @@ def band_edges_discriminant(
 
     The mean-free potential is solved and the mean added back to every
     edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
-    - mean).  Between neighbouring band probes, where D < 0, a 33-point scan
-    looks for the gap, and every sample is kept.  A gap is open as soon as
+    - mean).  Between neighbouring band probes, where D < 0, a 9-point scan
+    looks for the gap; its two ends are the probes, whose D and B come from
+    the probe sweep, and every sample is kept.  A gap is open as soon as
     one of its samples has D above its rounding bound B.  Until then it
     jumps by the parabola D = P - k (lambda - c)^2 through its largest
     sample and that sample's two neighbours: the next samples are c and
@@ -665,20 +672,22 @@ def band_edges_discriminant(
     a gap still pending after ``_MAX_JUMPS`` jumps collapses at its best
     sample.  Either collapse raises BracketError instead when the largest
     sample lies below -8 B: a double root peaks at least -B, so the probes
-    around such a gap sit inside one band.  A safeguarded secant then
-    refines lambda_0 and both edges of every open gap as sign changes of
-    D, each to ``_ROOT_TOL`` (1 + |lambda|)
-    but to at most ``_GAP_RTOL`` of the gap's parabola width
-    2 sqrt(P / k), and never below 4 ulp(lambda).
+    around such a gap sit inside one band.  A batched Chandrupatla
+    iteration (:func:`_refine_roots`) then refines lambda_0 and both edges
+    of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
+    |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
+    2 sqrt(P / k), and never below 4 ulp(lambda); an edge of an open gap
+    starts from its parabola root c -+ sqrt(P / k).
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     prop = _Propagator(q.without_mean(), cfg.steps)
-    probes = _band_probes(prop, n_max)
-    left0, d_left0 = _lambda0_left(prop)
+    px, pd, pb = _band_probes(prop, n_max)
+    probes = px[1:]
 
-    # every sample of each gap in ascending order: lambda, D and its bound
-    samples = {n: (np.empty(0), np.empty(0), np.empty(0)) for n in range(n_max)}
+    # every sample of each gap in ascending order: lambda, D and its bound,
+    # starting from the band probes on either side
+    samples = {n: (px[n + 1 : n + 3], pd[n + 1 : n + 3], pb[n + 1 : n + 3]) for n in range(n_max)}
 
     def add_samples(points: dict) -> None:
         """Evaluate the new points of every gap in one sweep and merge them into its samples."""
@@ -688,7 +697,7 @@ def band_edges_discriminant(
             order = np.argsort(np.concatenate((samples[n][0], x)))
             samples[n] = tuple(np.concatenate(pair)[order] for pair in zip(samples[n], (x, dn, bn)))
 
-    add_samples({n: np.linspace(probes[n], probes[n + 1], 33) for n in range(n_max)})
+    add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in range(n_max)})
     open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
     pending = list(range(n_max))
@@ -726,14 +735,16 @@ def band_edges_discriminant(
 
     # sign-change brackets of D: lambda_0, then both edges of every open gap,
     # their ends taken from the samples
-    ends = [(left0, d_left0, float(probes[0]), float(samples[0][1][0]))]
+    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))]
     caps = [math.inf]
+    guesses = [math.nan]
     slots = [(-1, 0)]
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
-        _, k, peak = _parabola(x, d, min(max(best, 1), x.size - 2))
+        c, k, peak = _parabola(x, d, min(max(best, 1), x.size - 2))
         cap = _GAP_RTOL * 2.0 * math.sqrt(peak / k) if k > 0.0 else math.inf
+        half = math.sqrt(peak / k) if k > 0.0 else math.nan
         lo = hi = best
         while lo > 0 and d[lo] > 0.0:
             lo -= 1
@@ -742,13 +753,14 @@ def band_edges_discriminant(
         for side, j in enumerate((lo, hi - 1)):
             ends.append((float(x[j]), float(d[j]), float(x[j + 1]), float(d[j + 1])))
             caps.append(cap)
+            guesses.append(c + (2 * side - 1) * half)
             slots.append((n, side))
     a, fa, b, fb = (np.array(col) for col in zip(*ends))
     bad = np.flatnonzero(np.sign(fa) * np.sign(fb) > 0.0)
     if bad.size:
         i = int(bad[0])
         raise BracketError(f"no sign change over [{a[i]!r}, {b[i]!r}] for edge slot {slots[i]}")
-    roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps))
+    roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
 
     pairs: list[list[float]] = [[math.nan, math.nan] for _ in range(n_max)]
     collapsed = [False] * n_max

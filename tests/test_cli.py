@@ -304,14 +304,39 @@ def test_galerkin_truncation_bound_exit_2(files, capsys, monkeypatch, command, d
 
 
 def test_gaps_discriminant_on_huge_cutoff_finishes(files, capsys):
-    # rho and the default fit range sum over the nonzero coefficients, not over -K..K
+    # 256 steps cannot resolve a harmonic of frequency 1e12: the route refuses
+    # at once instead of reporting the gaps of an aliased potential
     pot = files["dir"] / "huge.json"
     pot.write_text(json.dumps(HUGE_K), encoding="utf-8")
     t0 = time.perf_counter()
     rc = main(["gaps", "--potential", str(pot), "--nmax", "2", "--method", "discriminant", "--steps", "256"])
     assert time.perf_counter() - t0 < 5.0
-    assert rc == 0
+    assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["verify", "--method", "discriminant", "--steps", "256"], HUGE_K, "alias"),
+        (["spectrum", "--method", "discriminant"], {"coeffs": [{"k": 600, "re": 0.1}]}, "alias"),
+        (["converge", "--target", "steps", "--sweep", "256,512"], {"coeffs": [{"k": 100, "re": 0.1}]}, "alias"),
+        (["spectrum", "--method", "discriminant", "--steps", "10000000000000"], {"coeffs": []}, "65536"),
+        (["spectrum", "--method", "discriminant", "--steps", "0"], {"coeffs": []}, "256"),
+    ],
+    ids=["verify-huge-k", "spectrum-k600", "converge-k100", "steps-1e13", "steps-0"],
+)
+def test_discriminant_step_count_bounds_exit_2(files, capsys, argv, doc, message):
+    # 4 K > steps aliases the potential on the integrator grid, and a step
+    # count beyond 65536 would allocate the grid before any sweep ran
+    pot = files["dir"] / "steps.json"
+    pot.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main([argv[0], "--potential", str(pot), "--nmax", "2", *argv[1:]])
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_spectrum_both_probes_in_one_band_exit_3(files, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hillgaps import (
     BandEdges,
+    BracketError,
     DiscriminantConfig,
     GalerkinConfig,
     InputError,
@@ -24,6 +25,7 @@ from hillgaps import (
 from hillgaps.spectrum import (
     _BLOCK_ELEMS,
     _GAP_RTOL,
+    _MAX_REFINE,
     _ROOT_TOL,
     _eigenvalues,
     _Propagator,
@@ -367,15 +369,15 @@ def test_mathieu_first_gap_near_leading_term():
 
 
 def _count_sweeps(monkeypatch):
-    """Record the size of every sweep the discriminant route runs."""
+    """Record the batch size of every propagator sweep the discriminant route runs."""
     sizes = []
-    delta = _Propagator.delta
+    sweep = _Propagator._sweep
 
-    def counted(self, lams):
-        sizes.append(np.atleast_1d(lams).size)
-        return delta(self, lams)
+    def counted(self, qa, qb, steps, lams):
+        sizes.append(lams.size)
+        return sweep(self, qa, qb, steps, lams)
 
-    monkeypatch.setattr(_Propagator, "delta", counted)
+    monkeypatch.setattr(_Propagator, "_sweep", counted)
     return sizes
 
 
@@ -465,6 +467,134 @@ def test_refine_roots_closes_the_bracket():
     r = float(_refine_roots(f, a, f(a), b, f(b))[0])
     tol = _ROOT_TOL * (1.0 + abs(r))
     assert f(r - tol)[0] * f(r + tol)[0] <= 0.0
+
+
+class _Counted:
+    """f(x, idx) of a batch of functions, one per edge, counting evaluations per edge."""
+
+    def __init__(self, f, roots):
+        self.f, self.roots = f, np.asarray(roots, dtype=float)
+        self.evals = np.zeros(self.roots.size, dtype=int)
+
+    def __call__(self, x, idx):
+        self.evals[idx] += 1
+        return self.f(np.asarray(x), self.roots[idx])
+
+    def refine(self, a, b, **kw):
+        a, b = np.broadcast_to(a, self.roots.shape), np.broadcast_to(b, self.roots.shape)
+        fa, fb = self.f(a, self.roots), self.f(b, self.roots)
+        return _refine_roots(self, a, fa, b, fb, **kw)
+
+
+_SMOOTH = {
+    "tanh": lambda x, r: np.tanh(x - r),
+    # convex and increasing over the whole bracket: every secant lands on the
+    # same side of the root, the case where a secant alternated with bisection
+    "convex-cubic": lambda x, r: x**3 - r**3,
+    "exp": lambda x, r: np.expm1(8.0 * (x - r)),
+    # D = trace^2 - 4 of the free operator near a band edge: -4 sin^2 inside
+    # the band, flattening towards -4, and 4 sinh^2 growing in the gap
+    "band-edge": lambda x, r: np.where(
+        x < r, -4.0 * np.sin(0.7 * np.sqrt(np.abs(r - x))) ** 2, 4.0 * np.sinh(0.7 * np.sqrt(np.abs(x - r))) ** 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_refine_roots_smooth_within_tolerance(name):
+    f = _Counted(_SMOOTH[name], [0.3712, 1.25, 2.9, 0.01])
+    got = f.refine(0.0, 4.0)
+    assert np.all(np.abs(got - f.roots) <= _root_tol(f.roots, np.inf))
+    assert np.all(f.evals <= 20)
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_refine_roots_step_bound(name):
+    # a bracket 1e10 times the tolerance, the root off its centre, closes in
+    # at most 12 evaluations per edge; bisection alone would take 34
+    roots = np.array([0.3712, 1.25, 2.9])
+    width = 1e10 * _root_tol(roots, np.inf)
+    f = _Counted(_SMOOTH[name], roots)
+    got = f.refine(roots - 0.3 * width, roots + 0.7 * width)
+    assert np.all(np.abs(got - roots) <= _root_tol(roots, np.inf))
+    assert f.evals.max() <= 12
+
+
+def test_refine_roots_exact_zeros():
+    # at an endpoint: no evaluation at all
+    f = _Counted(lambda x, r: x - r, [0.0, 1.0])
+    assert list(f.refine(np.array([0.0, -3.0]), np.array([2.0, 1.0]))) == [0.0, 1.0]
+    assert list(f.evals) == [0, 0]
+    # at an iterate: the first point is the midpoint, where f is exactly 0
+    f = _Counted(lambda x, r: x - r, [0.5])
+    assert f.refine(0.0, 1.0)[0] == 0.5
+    assert list(f.evals) == [1]
+
+
+def test_refine_roots_cap():
+    # the cap tightens the 1e-12 relative tolerance (1.0e-9 at 1000) where it
+    # is smaller.  A sign step only bisects, so the evaluations count the
+    # halvings from width 4 down to each edge's tolerance
+    roots = np.array([1000.37, 1001.2345, 1002.9])
+    tol = np.array([_ROOT_TOL * 1001.0, 1e-10, 1e-11])
+    f = _Counted(lambda x, r: np.sign(x - r), roots)
+    got = f.refine(999.0, 1003.0, cap=np.array([1e-8, 1e-10, 1e-11]))
+    assert np.all(np.abs(got - roots) <= tol)
+    assert np.all(np.abs(f.evals - np.ceil(np.log2(4.0 / tol))) <= 1)
+
+
+def test_refine_roots_ulp_floor_at_large_lambda():
+    # a zero cap would ask for a bracket below ulp(x); the tolerance floors
+    # at 4 ulp there, and the bracket closes
+    roots = np.array([1e8 + 0.123, 4.5e15 + 3.0])
+    f = _Counted(lambda x, r: np.tanh(x - r), roots)
+    got = f.refine(roots - 1e3, roots + 2e3, cap=0.0)
+    assert np.all(np.abs(got - roots) <= 4.0 * np.spacing(roots))
+    assert f.evals.max() <= 60
+
+
+def test_refine_roots_guess():
+    # a close guess closes the bracket in a few steps; a guess outside the
+    # bracket is drawn inside it, and NaN means the midpoint
+    roots = np.array([0.3712, 1.25, 2.9])
+    near = _Counted(_SMOOTH["band-edge"], roots)
+    got = near.refine(0.0, 4.0, guess=roots + 1e-6)
+    assert np.all(np.abs(got - roots) <= _root_tol(roots, np.inf))
+    far = _Counted(_SMOOTH["band-edge"], roots)
+    far.refine(0.0, 4.0)
+    assert near.evals.sum() < far.evals.sum()
+    out = _Counted(_SMOOTH["tanh"], roots)
+    got = out.refine(0.0, 4.0, guess=np.array([-1.0, 9.0, np.nan]))
+    assert np.all(np.abs(got - roots) <= _root_tol(roots, np.inf))
+
+
+def test_refine_roots_open_bracket_raises():
+    # a sign step has no slope to interpolate, so only bisection narrows the
+    # bracket, and 1e300 wide it needs far more than _MAX_REFINE halvings
+    f = _Counted(lambda x, r: np.sign(x - r), [1e-3])
+    with pytest.raises(BracketError, match="still open"):
+        f.refine(-1e300, 1e300)
+    assert f.evals[0] == _MAX_REFINE
+
+
+def test_discriminant_evaluation_budget(monkeypatch):
+    # the benchmark's cross-validation pair: 9-point scans, probes reused as
+    # scan ends, and Chandrupatla refinement from the parabola edges take
+    # 1042 lambda evaluations in 37 sweeps at 2048 steps (2176 in 51 with
+    # 33-point scans and a safeguarded secant)
+    sizes = _count_sweeps(monkeypatch)
+    band_edges_discriminant(mathieu(0.5), 8)
+    band_edges_discriminant(power_decay(2.0, 32), 28)
+    assert sum(sizes) <= 1150
+    assert len(sizes) <= 40
+
+
+def test_mathieu_collapse_flags_at_n12():
+    # gamma_4 = 5.6e-8 and gamma_5 = 4.5e-11 are open; gamma_6..gamma_8 lie
+    # below the rounding bound of D at lambda ~ 355..632 and collapse
+    edges = band_edges_discriminant(mathieu(0.5), 12)
+    assert edges.collapsed[3:5] == (False, False)
+    assert edges.collapsed[5:8] == (True, True, True)
 
 
 def test_cross_method_agreement():

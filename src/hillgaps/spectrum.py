@@ -6,8 +6,9 @@ matrices; for an even potential the cos and sin blocks decouple and are
 solved apart.
 Route two integrates the fundamental system across one period with a
 fixed-step fourth-order scheme and locates the band edges as the roots of
-D = trace^2 - 4 of the monodromy matrix.  The two routes share no
-numerics, which makes their agreement a meaningful check.
+D = trace^2 - 4 of the monodromy matrix; for an even potential it
+integrates half the period and folds the monodromy from it.  The two
+routes share no numerics, which makes their agreement a meaningful check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL
 _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a double root
 # scale of the rounding bound B of D = trace^2 - 4 (see _Propagator); against
 # extended precision, within a gap width of every gap centre, the error of D
-# stayed below B / 2 (0.7 B on the zero potential)
+# stayed below B / 2 (0.78 B on the zero potential)
 _D_ROUNDING = 64.0 * np.finfo(float).eps
 _MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
@@ -392,15 +393,27 @@ class _Propagator:
     small and keeps its absolute precision, so D loses digits like eps /
     gamma where trace -+ 2 loses them like eps / gamma^2.
 
+    When the potential is even (every stored coefficient real) and the
+    step count even, a sweep multiplies only the first half period A = [[a,
+    b], [c, d]].  Step steps - 1 - j is step j reflected, which swaps its
+    two Gauss points and turns its propagator into R M_j^-1 R with R =
+    diag(1, -1), so the whole period is M = R A^-1 R A = [[ad + bc, 2 bd],
+    [2 ac, ad + bc]] and, with ad - bc = 1, E11 = E22 = 2 bc, E12 = 2 bd and
+    E21 = 2 ac (Magnus and Winkler, Hill's Equation, 1966, 1.4).  Each is a
+    product with no cancellation, and D = 16 abcd.  The potential's odd
+    part would break the reflection, and an odd step count has a middle
+    step, so either sweeps the full period.
+
     The rounding of E21 grows like eps w and that of E12 like eps / w, with
     w = sqrt(1 + |lambda|) the free frequency, so D's rounding bound is
     taken in the balanced basis diag(sqrt w, 1 / sqrt w), which leaves D
     unchanged: with s = |E11 - E22| + 2 (w |E12| + |E21| / w) and r =
     ``_D_ROUNDING``, B = r (s + s^2) + r^2.  (Near an edge E21 or E12
     vanishes; the unbalanced s was exceeded 26-fold there.)  The Wronskian
-    det(I + E) remains the on-line accuracy witness: on failure the step
-    count doubles, twice at most.  A non-finite trace, D or witness is an
-    overflow, which more steps cannot cure, so it raises at once.
+    det(I + E) of the product swept, det A of a folded half period, remains
+    the on-line accuracy witness: on failure the step count doubles, twice
+    at most.  A non-finite trace, D or witness is an overflow, which more
+    steps cannot cure, so it raises at once.
 
     The grid puts 2 steps / K Gauss points on each oscillation of the
     potential's highest harmonic K.  Below 8 of them (4 K > steps) the
@@ -415,6 +428,7 @@ class _Propagator:
                 "the integrator grid would alias the potential"
             )
         self.q = q
+        self.even = all(v.imag == 0.0 for _, v in q.coeffs)
         self.requested = steps
         self.steps = steps
         self.retries_left = _MAX_STEP_RETRIES
@@ -448,6 +462,8 @@ class _Propagator:
         tmp = space[4 * (big + small) : 4 * big + 7 * small].reshape(3, half, nl)
         work = space[4 * big + 7 * small : 7 * (big + small)].reshape(3, block, nl)
         h = 1.0 / steps
+        fold = self.even and steps % 2 == 0
+        swept = steps // 2 if fold else steps
         stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
 
@@ -461,10 +477,10 @@ class _Propagator:
             return out
 
         i0 = 0
-        while i0 < steps:
+        while i0 < swept:
             # the largest power-of-two chunk that fits, at most a block; it is
-            # aligned, so the runs are the binary decomposition of steps
-            n = min(block, 1 << ((steps - i0).bit_length() - 1))
+            # aligned, so the runs are the binary decomposition of the steps swept
+            n = min(block, 1 << ((swept - i0).bit_length() - 1))
             at = i0 + _bit_reversed(n)
             e = bufs[0]
             _step_deviations(qa[at], qb[at], h, lams, e[:, :n], work[:, :n])
@@ -481,16 +497,21 @@ class _Propagator:
                 run, length = merge(run, stack.pop()[1]), 2 * length
             stack.append((length, run))
         run = stack.pop()[1]
-        while stack:  # fold the binary decomposition of steps, latest run first
+        while stack:  # merge the binary decomposition, latest run first
             run = merge(run, stack.pop()[1])
         e11, e12, e21, e22 = run
+        wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
+        if fold:  # run is the half period A = I + E; M = R A^-1 R A with R = diag(1, -1)
+            b, c = e12, e21
+            e12 = 2.0 * b * (1.0 + e22)
+            e21 = 2.0 * (1.0 + e11) * c
+            e11 = e22 = 2.0 * b * c
         delta = 2.0 + (e11 + e22)
         split = e11 - e22
         disc = split * split + 4.0 * (e12 * e21)
         omega = np.sqrt(1.0 + np.abs(lams))
         scaled = np.abs(split) + 2.0 * (omega * np.abs(e12) + np.abs(e21) / omega)
         bound = _D_ROUNDING * (scaled * (1.0 + scaled) + _D_ROUNDING)
-        wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
         return delta, disc, bound, wronskian
 
     @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
@@ -514,15 +535,13 @@ class _Propagator:
             self.retries_left -= 1
             self.steps *= 2
 
-    @np.errstate(all="ignore")
-    def wronskian_drift(self, lams) -> float:
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        wronskian = self._sweep(*self._grid(), self.steps, lams)[3]
-        return float(np.max(np.abs(wronskian - 1.0)))
-
 
 def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = DiscriminantConfig()) -> float:
-    """Trace of the one-period monodromy matrix at spectral parameter lam."""
+    """Trace of the one-period monodromy matrix at spectral parameter lam.
+
+    For an even q at an even step count it is folded from the first half
+    period (see :class:`_Propagator`).
+    """
     return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
 

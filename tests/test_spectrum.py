@@ -22,6 +22,7 @@ from hillgaps import (
     random_hs,
     two_harmonic,
 )
+from hillgaps import spectrum
 from hillgaps.spectrum import (
     _BLOCK_ELEMS,
     _GAP_RTOL,
@@ -34,6 +35,8 @@ from hillgaps.spectrum import (
 )
 
 ZERO = from_fourier(0.0, [])
+# not even: a complex coefficient, so the sweep runs the full period
+COMPLEX = from_fourier(0.0, [(2, 0.3), (4, 0.1 + 0.05j)])
 
 
 # ------------------------------------------------------------- matrices
@@ -241,10 +244,14 @@ def test_discriminant_closed_forms():
     assert discriminant(ZERO, -1.0) == pytest.approx(2 * np.cosh(1.0), rel=1e-13)
 
 
-def test_wronskian_witness_tiny():
-    prop = _Propagator(mathieu(0.5), 2048)
-    drift = prop.wronskian_drift(np.array([np.pi**2 / 4, 0.0, -1.0, 500.0]))
-    assert drift < 1e-9
+def test_wronskian_witness_tiny(monkeypatch):
+    # the witness delta checks, det A of the half period for the folded even
+    # potential, passes a limit 1000 times tighter than its own, no doubling
+    monkeypatch.setattr(spectrum, "_WRONSKIAN_LIMIT", 1e-9)
+    for q in (mathieu(0.5), COMPLEX):
+        prop = _Propagator(q, 2048)
+        prop.delta(np.array([np.pi**2 / 4, 0.0, -1.0, 500.0]))
+        assert prop.steps == 2048
 
 
 def test_step_doubling_then_integration_error():
@@ -320,9 +327,15 @@ def test_sweep_closed_forms_zero_potential(steps):
     assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) <= 5e-14
 
 
-@pytest.mark.parametrize("steps", [1000, 2048])
-def test_sweep_matches_sequential_oracle(steps):
-    prop = _Propagator(mathieu(0.5), steps)
+@pytest.mark.parametrize(
+    "q, steps",
+    [(mathieu(0.5), 1000), (mathieu(0.5), 2048), (random_hs(1.0, 48, 3), 2048)],
+    ids=["1000", "2048", "random_hs"],
+)
+def test_sweep_matches_sequential_oracle(q, steps):
+    # the oracle runs the full period step by step, so this also checks the
+    # half-period fold of the even mathieu potential against it
+    prop = _Propagator(q, steps)
     lams = np.linspace(-50.0, 2000.0, 924)
     m11, _, _, m22 = _sequential_monodromy(prop, lams)
     ref = m11 + m22
@@ -332,11 +345,17 @@ def test_sweep_matches_sequential_oracle(steps):
         assert np.max(np.abs(got - ref[at]) / np.maximum(1.0, np.abs(ref[at]))) <= 1e-13
 
 
-@pytest.mark.parametrize("q, n_max", [(mathieu(0.5), 8), (power_decay(2.0, 32), 28)], ids=["mathieu", "power_decay"])
+@pytest.mark.parametrize(
+    "q, n_max",
+    [(mathieu(0.5), 8), (power_decay(2.0, 32), 28), (COMPLEX, 8)],
+    ids=["mathieu", "power_decay", "complex"],
+)
 def test_disc_within_its_rounding_bound(q, n_max):
     # 21 points across twice the width of every gap (1e-9 lambda for a
     # collapsed one), edges included: there D = trace^2 - 4 is small and
-    # its rounding bound B is what decides open, collapsed and the jumps
+    # its rounding bound B is what decides open, collapsed and the jumps.
+    # The oracle runs the full period, the sweep folds the two even cases;
+    # the largest error seen is 0.49 B (power_decay)
     centres, widths = zip(*(((lo + hi) / 2, max(hi - lo, 1e-9 * hi)) for lo, hi in band_edges_galerkin(q, n_max).pairs))
     lams = (np.array(centres)[:, None] + np.array(widths)[:, None] * np.linspace(-1.0, 1.0, 21)).ravel()
     prop = _Propagator(q, 2048)
@@ -369,22 +388,34 @@ def test_mathieu_first_gap_near_leading_term():
 
 
 def _count_sweeps(monkeypatch):
-    """Record the batch size of every propagator sweep the discriminant route runs."""
-    sizes = []
+    """Record what every propagator sweep the discriminant route runs integrates.
+
+    Returns the batch size of each sweep, and the (steps, batch size) of
+    each chunk of step propagators the sweeps evaluate: their steps add up
+    to the steps a sweep actually integrates, and their products to its
+    step x lambda work.
+    """
+    sizes, chunks = [], []
     sweep = _Propagator._sweep
+    step_deviations = spectrum._step_deviations
 
     def counted(self, qa, qb, steps, lams):
         sizes.append(lams.size)
         return sweep(self, qa, qb, steps, lams)
 
+    def counted_steps(qa, qb, h, lams, out, work):
+        chunks.append((qa.size, lams.size))
+        return step_deviations(qa, qb, h, lams, out, work)
+
     monkeypatch.setattr(_Propagator, "_sweep", counted)
-    return sizes
+    monkeypatch.setattr(spectrum, "_step_deviations", counted_steps)
+    return sizes, chunks
 
 
 def test_narrow_gaps_refine_in_double(monkeypatch):
     # gaps 3..28 are 4e-2 down to 6e-4 wide: each is open in the scan or
     # after one parabola jump (49 sweeps when humps were zoomed 8x a step)
-    sizes = _count_sweeps(monkeypatch)
+    sizes, _ = _count_sweeps(monkeypatch)
     cv = cross_validate(power_decay(2.0, 32), 28)
     assert len(sizes) <= 30
     assert not any(cv.discriminant.collapsed)
@@ -580,13 +611,29 @@ def test_refine_roots_open_bracket_raises():
 def test_discriminant_evaluation_budget(monkeypatch):
     # the benchmark's cross-validation pair: 9-point scans, probes reused as
     # scan ends, and Chandrupatla refinement from the parabola edges take
-    # 1042 lambda evaluations in 37 sweeps at 2048 steps (2176 in 51 with
-    # 33-point scans and a safeguarded secant)
-    sizes = _count_sweeps(monkeypatch)
+    # 1038 lambda evaluations in 36 sweeps at 2048 steps (2176 in 51 with
+    # 33-point scans and a safeguarded secant).  Both potentials are even,
+    # so each sweep integrates 1024 steps: 1038 x 1024 ~ 1.06M step x lambda
+    # work, where full-period sweeps took 1042 x 2048 ~ 2.13M
+    sizes, chunks = _count_sweeps(monkeypatch)
     band_edges_discriminant(mathieu(0.5), 8)
     band_edges_discriminant(power_decay(2.0, 32), 28)
     assert sum(sizes) <= 1150
     assert len(sizes) <= 40
+    assert sum(n * nl for n, nl in chunks) <= 1_200_000
+
+
+@pytest.mark.parametrize(
+    "q, steps, swept",
+    [(mathieu(0.5), 1000, 500), (mathieu(0.5), 2048, 1024), (mathieu(0.5), 1001, 1001), (COMPLEX, 2048, 2048)],
+    ids=["even-1000", "even-2048", "odd-steps", "complex"],
+)
+def test_even_potentials_sweep_half_the_period(monkeypatch, q, steps, swept):
+    # an even potential at an even step count folds the second half period
+    # onto the first; an odd step count or a complex coefficient does not
+    _, chunks = _count_sweeps(monkeypatch)
+    _Propagator(q, steps).delta(np.linspace(-50.0, 2000.0, 17))
+    assert sum(n for n, _ in chunks) == swept
 
 
 def test_mathieu_collapse_flags_at_n12():

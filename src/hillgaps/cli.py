@@ -46,6 +46,7 @@ from .spectrum import (
     GalerkinConfig,
     band_edges_discriminant,
     band_edges_galerkin,
+    discriminant,
 )
 
 EXIT_OK = 0
@@ -370,8 +371,6 @@ def cmd_converge(args) -> int:
                 row["max_abs_change"] = float(np.max(np.abs(per_level[i] - per_level[i - 1])))
             rows.append(row)
     else:
-        from .spectrum import discriminant
-
         vals = [discriminant(q, args.lam, DiscriminantConfig(steps=s)) for s in levels]
         for i, s in enumerate(levels):
             row = {"level": s, "delta": vals[i]}
@@ -401,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, steps_default=None):
+    def common(p):
         p.add_argument("--potential", required=True, help="potential JSON file")
         p.add_argument("--nmax", type=int, default=8)
         p.add_argument("--method", choices=["galerkin", "discriminant", "both"], default="galerkin")
         p.add_argument("--trunc", type=int, default=None, help="Galerkin truncation override")
-        p.add_argument("--steps", type=int, default=steps_default, help="integrator steps per period")
+        p.add_argument("--steps", type=int, default=None, help="integrator steps per period")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--seed", type=int, default=0)

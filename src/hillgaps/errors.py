@@ -25,7 +25,7 @@ class InterlacingError(NumericalError):
 
 
 class IntegrationError(NumericalError):
-    """The ODE integrator failed its accuracy witness after all retries."""
+    """The ODE integrator overflowed, or failed its accuracy witness at every step count it tried."""
 
 
 class BracketError(NumericalError):

@@ -35,7 +35,7 @@ _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a d
 # extended precision, within a gap width of every gap centre, the error of D
 # stayed below B / 2 (0.78 B on the zero potential)
 _D_ROUNDING = 64.0 * np.finfo(float).eps
-_MAX_STEP_RETRIES = 2  # step count doubles this many times on witness failure
+_MAX_STEP_RETRIES = 2  # restarts of a discriminant solve, each at twice the steps, on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
 _SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers for a batch of <= _BLOCK_ELEMS / 2
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
@@ -368,6 +368,10 @@ def _combine(left: np.ndarray, right: np.ndarray, out: np.ndarray, tmp: np.ndarr
     np.add(out[2], t, out=out[2])
 
 
+class _WitnessError(IntegrationError):
+    """The Wronskian witness failed: a solve at more steps may pass."""
+
+
 class _Propagator:
     """Vectorized fixed-step 4th-order integration of the fundamental system.
 
@@ -375,9 +379,9 @@ class _Propagator:
     (Magnus) average of the coefficient matrix, so every step propagator
     has unit determinant by construction: the scheme cannot leak
     amplitude, which is what keeps trace values honest near band edges
-    where the roots of D = trace^2 - 4 live.  The potential is sampled once per
-    step count at the two Gauss points of every step; calls batch an
-    array of spectral parameters through the same sweep.
+    where the roots of D = trace^2 - 4 live.  The step count is fixed, and
+    the potential sampled at the two Gauss points of every step, once at
+    construction; calls batch an array of spectral parameters through it.
 
     A sweep multiplies the step propagators as a tree, not one step after
     another.  The steps split into aligned power-of-two runs, at most
@@ -411,9 +415,9 @@ class _Propagator:
     ``_D_ROUNDING``, B = r (s + s^2) + r^2.  (Near an edge E21 or E12
     vanishes; the unbalanced s was exceeded 26-fold there.)  The Wronskian
     det(I + E) of the product swept, det A of a folded half period, remains
-    the on-line accuracy witness: on failure the step count doubles, twice
-    at most.  A non-finite trace, D or witness is an overflow, which more
-    steps cannot cure, so it raises at once.
+    the on-line accuracy witness; its failure raises ``_WitnessError``.  A
+    non-finite trace, D or witness is an overflow, which more steps cannot
+    cure, so it raises plain IntegrationError.
 
     The grid puts 2 steps / K Gauss points on each oscillation of the
     potential's highest harmonic K.  Below 8 of them (4 K > steps) the
@@ -429,26 +433,18 @@ class _Propagator:
             )
         self.q = q
         self.even = all(v.imag == 0.0 for _, v in q.coeffs)
-        self.requested = steps
         self.steps = steps
-        self.retries_left = _MAX_STEP_RETRIES
-        self._grid_for = 0
-        self._qvals: tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+        h = 1.0 / steps
+        base = np.arange(steps) * h
+        with np.errstate(all="ignore"):  # an overflowing q shows as a non-finite trace in delta
+            self.qa = np.asarray(q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h), dtype=float)
+            self.qb = np.asarray(q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h), dtype=float)
         # the sweep buffers, kept across sweeps: arrays this large come fresh
         # from mmap unless malloc's threshold happens to lie above them, and
         # then every sweep page-faults them in again
         self._space = np.empty(0)
 
-    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._grid_for != self.steps:
-            h = 1.0 / self.steps
-            base = np.arange(self.steps) * h
-            qa = np.asarray(self.q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h), dtype=float)
-            qb = np.asarray(self.q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h), dtype=float)
-            self._qvals, self._grid_for = (qa, qb), self.steps
-        return self._qvals
-
-    def _sweep(self, qa: np.ndarray, qb: np.ndarray, steps: int, lams: np.ndarray):
+    def _sweep(self, lams: np.ndarray):
         nl = lams.size
         block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
         half = max(1, block // 2)
@@ -461,9 +457,9 @@ class _Propagator:
         bufs = (space[: 4 * big].reshape(4, block, nl), space[4 * big : 4 * (big + small)].reshape(4, half, nl))
         tmp = space[4 * (big + small) : 4 * big + 7 * small].reshape(3, half, nl)
         work = space[4 * big + 7 * small : 7 * (big + small)].reshape(3, block, nl)
-        h = 1.0 / steps
-        fold = self.even and steps % 2 == 0
-        swept = steps // 2 if fold else steps
+        h = 1.0 / self.steps
+        fold = self.even and self.steps % 2 == 0
+        swept = self.steps // 2 if fold else self.steps
         stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
 
@@ -483,7 +479,7 @@ class _Propagator:
             n = min(block, 1 << ((swept - i0).bit_length() - 1))
             at = i0 + _bit_reversed(n)
             e = bufs[0]
-            _step_deviations(qa[at], qb[at], h, lams, e[:, :n], work[:, :n])
+            _step_deviations(self.qa[at], self.qb[at], h, lams, e[:, :n], work[:, :n])
             i0 += n
             length, side = n, 0
             while n > 1:  # in bit-reversed order, each level pairs the two contiguous halves
@@ -518,29 +514,20 @@ class _Propagator:
     def delta(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        while True:
-            delta, disc, bound, wronskian = self._sweep(*self._grid(), self.steps, lams)
-            if not all(np.isfinite(v).all() for v in (delta, disc, wronskian)):
-                raise IntegrationError(
-                    f"non-finite monodromy trace or Wronskian at steps={self.steps} "
-                    f"({self.requested} requested): the solution overflows"
-                )
-            drift = float(np.max(np.abs(wronskian - 1.0)))
-            if drift <= _WRONSKIAN_LIMIT:
-                return delta, disc, bound
-            if self.retries_left <= 0:
-                raise IntegrationError(
-                    f"Wronskian drift {drift:.3e} beyond {_WRONSKIAN_LIMIT:g} at steps={self.steps}"
-                )
-            self.retries_left -= 1
-            self.steps *= 2
+        delta, disc, bound, wronskian = self._sweep(lams)
+        if not all(np.isfinite(v).all() for v in (delta, disc, wronskian)):
+            raise IntegrationError(f"non-finite trace or Wronskian at steps={self.steps}: the solution overflows")
+        drift = float(np.max(np.abs(wronskian - 1.0)))
+        if drift > _WRONSKIAN_LIMIT:
+            raise _WitnessError(f"Wronskian drift {drift:.3e} beyond {_WRONSKIAN_LIMIT:g} at steps={self.steps}")
+        return delta, disc, bound
 
 
 def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = DiscriminantConfig()) -> float:
     """Trace of the one-period monodromy matrix at spectral parameter lam.
 
-    For an even q at an even step count it is folded from the first half
-    period (see :class:`_Propagator`).
+    Evaluated at exactly ``cfg.steps``; for an even q at an even step count
+    it is folded from the first half period (see :class:`_Propagator`).
     """
     return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
@@ -696,11 +683,24 @@ def band_edges_discriminant(
     of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
     |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
     2 sqrt(P / k), and never below 4 ulp(lambda); an edge of an open gap
-    starts from its parabola root c -+ sqrt(P / k).
+    starts from its parabola root c -+ sqrt(P / k).  A failed Wronskian
+    witness restarts the solve at twice the steps, up to ``_MAX_STEPS`` and
+    ``_MAX_STEP_RETRIES`` times; ``resolution`` is the one step count used.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    prop = _Propagator(q.without_mean(), cfg.steps)
+    steps = cfg.steps
+    while True:
+        try:
+            return _solve_discriminant(_Propagator(q.without_mean(), steps), n_max, q.mean)
+        except _WitnessError:
+            if steps >= min(cfg.steps << _MAX_STEP_RETRIES, _MAX_STEPS):
+                raise
+            steps *= 2
+
+
+def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges:
+    """One solve of :func:`band_edges_discriminant` at ``prop``'s step count, edges shifted by ``mean``."""
     px, pd, pb = _band_probes(prop, n_max)
     probes = px[1:]
 
@@ -790,8 +790,8 @@ def band_edges_discriminant(
         collapsed[n] = True
 
     edges = BandEdges(
-        lambda0=float(roots[0]) + q.mean,
-        pairs=tuple((lo + q.mean, hi + q.mean) for lo, hi in pairs),
+        lambda0=float(roots[0]) + mean,
+        pairs=tuple((lo + mean, hi + mean) for lo, hi in pairs),
         method="discriminant",
         resolution=prop.steps,
         collapsed=tuple(collapsed),

@@ -429,6 +429,19 @@ def test_converge_steps_zero_potential_exact(files, tmp_path):
     assert all(c < 1e-12 for c in changes)
 
 
+def test_converge_steps_evaluates_only_its_levels(tmp_path, capsys):
+    # the witness fails at 2048 steps here (drift 3.8e-6): the 4096-step
+    # trace was reported under level 2048 with abs_change 0 and exit 0
+    p = tmp_path / "k32.json"
+    p.write_text(json.dumps({"coeffs": [{"k": 32, "re": 0, "im": 160}]}), encoding="utf-8")
+    out = tmp_path / "c.json"
+    rc = main(["converge", "--potential", str(p), "--target", "steps", "--sweep", "2048,4096",
+               "--lam", "-159.26629944986382", "--format", "json", "--out", str(out)])
+    assert rc == 3
+    assert "steps=2048" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_rejects_non_integer_level(files):
     rc = main(["converge", "--potential", files["mathieu01"], "--sweep", "64,x", "--target", "trunc"])
     assert rc == 2

@@ -246,29 +246,55 @@ def test_discriminant_closed_forms():
 
 def test_wronskian_witness_tiny(monkeypatch):
     # the witness delta checks, det A of the half period for the folded even
-    # potential, passes a limit 1000 times tighter than its own, no doubling
+    # potential, passes a limit 1000 times tighter than its own: no sweep
+    # fails and the solve needs no restart
     monkeypatch.setattr(spectrum, "_WRONSKIAN_LIMIT", 1e-9)
+    sweeps, _ = _count_sweeps(monkeypatch)
     for q in (mathieu(0.5), COMPLEX):
-        prop = _Propagator(q, 2048)
-        prop.delta(np.array([np.pi**2 / 4, 0.0, -1.0, 500.0]))
-        assert prop.steps == 2048
+        _Propagator(q, 2048).delta(np.array([np.pi**2 / 4, 0.0, -1.0, 500.0]))
+        assert band_edges_discriminant(q, 4).resolution == 2048
+    assert {steps for steps, _ in sweeps} == {2048}
 
 
-def test_step_doubling_then_integration_error():
+def test_step_doubling_then_integration_error(monkeypatch):
+    # q = 160 i exp(2 pi i 32 x): at 2048 steps the witness passes on the
+    # probes, the scan and the brackets, then fails on one refinement sweep
+    # at lambda = -159.27 (drift 3.8e-6).  The solve restarts at 4096 steps
+    # and takes every sample there: its edges are those of a solve started
+    # at 4096, 5.6e-8 from Galerkin where the mixed solve was 1.3e-7 off
+    q = from_fourier(0.0, [(32, 160j)])
+    sweeps, _ = _count_sweeps(monkeypatch)
+    edges = band_edges_discriminant(q, 4)
+    steps = [s for s, _ in sweeps]
+    first = steps.index(4096)
+    assert set(steps[:first]) == {2048} and set(steps[first:]) == {4096}
+    assert edges.resolution == 4096
+    assert edges == band_edges_discriminant(q, 4, DiscriminantConfig(steps=4096))
     # exp(100) growth below the spectrum stays finite, but the Wronskian
-    # loses every digit to cancellation at any step count
-    prop = _Propagator(ZERO, 256)
-    with pytest.raises(IntegrationError, match="Wronskian"):
-        prop.delta(-1e4)
-    assert prop.steps == 1024
+    # loses every digit to cancellation at any step count: one sweep, one error
+    with pytest.raises(IntegrationError, match="Wronskian.*steps=256"):
+        _Propagator(ZERO, 256).delta(-1e4)
 
 
-def test_non_finite_trace_raises_at_once():
-    # exp(1000) growth overflows: more steps cannot cure it, so no doubling
-    prop = _Propagator(ZERO, 256)
+@pytest.mark.parametrize(
+    "start, tried", [(256, [256, 512, 1024]), (32768, [32768, 65536])], ids=["retries", "max-steps"]
+)
+def test_restarts_stop_at_retries_and_max_steps(monkeypatch, start, tried):
+    # a witness that always fails: the solve restarts twice at most, never
+    # past _MAX_STEPS, and the error names the last step count
+    monkeypatch.setattr(spectrum, "_WRONSKIAN_LIMIT", -1.0)
+    sweeps, _ = _count_sweeps(monkeypatch)
+    with pytest.raises(IntegrationError, match=f"Wronskian.*steps={tried[-1]}$"):
+        band_edges_discriminant(ZERO, 2, DiscriminantConfig(steps=start))
+    assert [s for s, _ in sweeps] == tried
+
+
+def test_non_finite_trace_raises_at_once(monkeypatch):
+    # exp(1000) growth overflows: more steps cannot cure it, so no restart
+    sweeps, _ = _count_sweeps(monkeypatch)
     with pytest.raises(IntegrationError, match=r"non-finite.*steps=256"):
-        prop.delta(-1e6)
-    assert prop.steps == 256
+        band_edges_discriminant(from_fourier(0.0, [(2, 1e154)]), 2, DiscriminantConfig(steps=256))
+    assert [s for s, _ in sweeps] == [256]
 
 
 def test_sweep_batch_invariance():
@@ -297,7 +323,7 @@ def _sequential_monodromy(prop: _Propagator, lams: np.ndarray) -> np.ndarray:
     M11, M12, M21, M22 as ``np.longdouble`` arrays.
     """
     ld = np.longdouble
-    qa, qb = (np.asarray(v, dtype=ld) for v in prop._grid())
+    qa, qb = (np.asarray(v, dtype=ld) for v in (prop.qa, prop.qb))
     h = ld(1) / ld(qa.size)
     lams = np.asarray(lams, dtype=float).astype(ld)
     u = np.array([np.ones_like(lams), np.zeros_like(lams)])
@@ -390,18 +416,18 @@ def test_mathieu_first_gap_near_leading_term():
 def _count_sweeps(monkeypatch):
     """Record what every propagator sweep the discriminant route runs integrates.
 
-    Returns the batch size of each sweep, and the (steps, batch size) of
-    each chunk of step propagators the sweeps evaluate: their steps add up
-    to the steps a sweep actually integrates, and their products to its
-    step x lambda work.
+    Returns the (step count, batch size) of each sweep, and the (steps,
+    batch size) of each chunk of step propagators the sweeps evaluate:
+    their steps add up to the steps a sweep actually integrates, and their
+    products to its step x lambda work.
     """
-    sizes, chunks = [], []
+    sweeps, chunks = [], []
     sweep = _Propagator._sweep
     step_deviations = spectrum._step_deviations
 
-    def counted(self, qa, qb, steps, lams):
-        sizes.append(lams.size)
-        return sweep(self, qa, qb, steps, lams)
+    def counted(self, lams):
+        sweeps.append((self.steps, lams.size))
+        return sweep(self, lams)
 
     def counted_steps(qa, qb, h, lams, out, work):
         chunks.append((qa.size, lams.size))
@@ -409,15 +435,15 @@ def _count_sweeps(monkeypatch):
 
     monkeypatch.setattr(_Propagator, "_sweep", counted)
     monkeypatch.setattr(spectrum, "_step_deviations", counted_steps)
-    return sizes, chunks
+    return sweeps, chunks
 
 
 def test_narrow_gaps_refine_in_double(monkeypatch):
     # gaps 3..28 are 4e-2 down to 6e-4 wide: each is open in the scan or
     # after one parabola jump (49 sweeps when humps were zoomed 8x a step)
-    sizes, _ = _count_sweeps(monkeypatch)
+    sweeps, _ = _count_sweeps(monkeypatch)
     cv = cross_validate(power_decay(2.0, 32), 28)
-    assert len(sizes) <= 30
+    assert len(sweeps) <= 30
     assert not any(cv.discriminant.collapsed)
     assert cv.max_rel_discrepancy <= 1e-11
 
@@ -615,11 +641,11 @@ def test_discriminant_evaluation_budget(monkeypatch):
     # 33-point scans and a safeguarded secant).  Both potentials are even,
     # so each sweep integrates 1024 steps: 1038 x 1024 ~ 1.06M step x lambda
     # work, where full-period sweeps took 1042 x 2048 ~ 2.13M
-    sizes, chunks = _count_sweeps(monkeypatch)
+    sweeps, chunks = _count_sweeps(monkeypatch)
     band_edges_discriminant(mathieu(0.5), 8)
     band_edges_discriminant(power_decay(2.0, 32), 28)
-    assert sum(sizes) <= 1150
-    assert len(sizes) <= 40
+    assert sum(n for _, n in sweeps) <= 1150
+    assert len(sweeps) <= 40
     assert sum(n * nl for n, nl in chunks) <= 1_200_000
 
 

@@ -33,7 +33,8 @@ _GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL
 _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a double root
 # scale of the rounding bound B of D = trace^2 - 4 (see _Propagator); against
 # extended precision, within a gap width of every gap centre, the error of D
-# stayed below B / 2 (0.78 B on the zero potential)
+# stayed below 0.36 B, but on the zero potential, whose equal steps round
+# alike, it reached 1.1 B at n = 8 and 3.2 B at n = 16
 _D_ROUNDING = 64.0 * np.finfo(float).eps
 _MAX_STEP_RETRIES = 2  # restarts of a discriminant solve, each at twice the steps, on witness failure
 _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds sweep memory
@@ -41,6 +42,7 @@ _SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
 _MAX_STEPS = 65536  # largest integrator step count: a sweep at it is 32x one at the default
 _SCAN_POINTS = 9  # samples of D per inter-band window, its two band probes included
+_TAN_LIMIT = math.pi / 4  # largest half angle a step propagator takes from tan (see _step_deviations)
 
 
 def _edge_tol(x: float) -> float:
@@ -272,7 +274,14 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
 
-def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: np.ndarray, work: np.ndarray):
+def _step_terms(qa: np.ndarray, qb: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """h qbar and the commutator term d = sqrt3/12 h^2 (q_a - q_b) of each step."""
+    return h * (0.5 * (qa + qb)), (math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+
+
+def _step_deviations(
+    qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, lam_osc: float, out: np.ndarray, work: np.ndarray
+):
     """E = M - I of the propagator M of each step, into ``out`` as E11, E12, E21, E22.
 
     ``qa``/``qb`` hold q at the two Gauss points of each step.  With their
@@ -281,11 +290,19 @@ def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: n
     [s h wbar, c - s d]] where c = cos m, s = sin(m)/m (mu^2 < 0) or
     c = cosh m, s = sinh(m)/m.  In the half angle x = m/2, c - 1 =
     -2 sin^2 x (or 2 sinh^2 x) and s = sin x cos x / x, so each deviation,
-    O(h), keeps its full relative precision.  ``work`` holds three arrays
-    of the shape of one entry for the intermediates.
+    O(h), keeps its full relative precision.
+
+    Above ``lam_osc`` every step oscillates, and there one t = tan x gives
+    c - 1 = -2 t^2 / (1 + t^2) and s = t / (x (1 + t^2)) at a fraction of
+    the cost of sin and cos.  tan is singular at x = pi/2, so steps past
+    x = pi/4 keep sin and cos.  So does every lambda at or below
+    ``lam_osc``, bit for bit: there some steps grow, the monodromy can
+    reach 1e5..1e8, and the Wronskian witness passes or fails on its last
+    bit.  The choice depends on lambda alone, so a lambda gets the same
+    bits in any batch.  ``work`` holds three arrays of the shape of one
+    entry for the intermediates.
     """
-    hq = h * (0.5 * (qa + qb))
-    d = (math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+    hq, d = _step_terms(qa, qb, h)
     x, sn, cs = work
     # x^2 = mu^2 / 4, signed
     np.subtract((0.25 * (d * d + h * hq))[:, None], (0.25 * h * h) * lams, out=x)
@@ -296,21 +313,27 @@ def _step_deviations(qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, out: n
     # below 1e-20, sin x / x and sinh x / x are 1 and sin^2 x is below
     # 1e-40; the clamp only keeps x = 0 from giving 0/0
     np.maximum(x, 1e-20, out=x)
-    for f_sn, f_cs, where in ((np.sin, np.cos, trig), (np.sinh, np.cosh, hyp)):
+    c1, s = out[3], sn  # c - 1 and s
+    tan = lams > lam_osc
+    if tan.any():
+        tan = tan & trig & (x <= _TAN_LIMIT)
+        t = np.tan(x, out=sn)
+        np.multiply(t, t, out=cs)
+        np.multiply(cs, -2.0, out=c1)
+        cs += 1.0
+        c1 /= cs  # -2 t^2 / (1 + t^2)
+        cs *= x
+        t /= cs  # t / (x (1 + t^2))
+        trig &= ~tan
+    for f_sn, f_cs, sign, where in ((np.sin, np.cos, -2.0, trig), (np.sinh, np.cosh, 2.0, hyp)):
         if where.all():
-            f_sn(x, out=sn)
-            f_cs(x, out=cs)
-        elif where.any():
-            sn[where] = f_sn(x[where])
-            cs[where] = f_cs(x[where])
-    c1 = out[3]
-    np.multiply(sn, sn, out=c1)
-    c1 *= -2.0  # c - 1
-    if hyp.any():
-        np.negative(c1, out=c1, where=hyp)
-    s = sn
-    s *= cs
-    s /= x
+            where = ...  # the whole block, as views
+        elif not where.any():
+            continue
+        xs = x[where]
+        sw, cw = f_sn(xs), f_cs(xs)
+        c1[where] = sign * (sw * sw)
+        s[where] = sw * cw / xs
     np.multiply(s, h, out=out[1])
     np.subtract(hq[:, None], h * lams, out=out[2])  # h wbar
     out[2] *= s
@@ -381,7 +404,8 @@ class _Propagator:
     amplitude, which is what keeps trace values honest near band edges
     where the roots of D = trace^2 - 4 live.  The step count is fixed, and
     the potential sampled at the two Gauss points of every step, once at
-    construction; calls batch an array of spectral parameters through it.
+    construction, along with ``lam_osc``, the lambda above which every
+    step oscillates; calls batch an array of spectral parameters through it.
 
     A sweep multiplies the step propagators as a tree, not one step after
     another.  The steps split into aligned power-of-two runs, at most
@@ -439,6 +463,9 @@ class _Propagator:
         with np.errstate(all="ignore"):  # an overflowing q shows as a non-finite trace in delta
             self.qa = np.asarray(q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h), dtype=float)
             self.qb = np.asarray(q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h), dtype=float)
+            # above it every step oscillates (see _step_deviations); NaN if q overflows
+            hq, d = _step_terms(self.qa, self.qb, h)
+            self.lam_osc = float(np.max((d * d + h * hq) / (h * h)))
         # the sweep buffers, kept across sweeps: arrays this large come fresh
         # from mmap unless malloc's threshold happens to lie above them, and
         # then every sweep page-faults them in again
@@ -479,7 +506,7 @@ class _Propagator:
             n = min(block, 1 << ((swept - i0).bit_length() - 1))
             at = i0 + _bit_reversed(n)
             e = bufs[0]
-            _step_deviations(self.qa[at], self.qb[at], h, lams, e[:, :n], work[:, :n])
+            _step_deviations(self.qa[at], self.qb[at], h, lams, self.lam_osc, e[:, :n], work[:, :n])
             i0 += n
             length, side = n, 0
             while n > 1:  # in bit-reversed order, each level pairs the two contiguous halves

@@ -343,6 +343,65 @@ def _sequential_monodromy(prop: _Propagator, lams: np.ndarray) -> np.ndarray:
     return np.array([u[0], p[0], u[1], p[1]])
 
 
+def _sin_cos_deviations(qa, qb, h, lams):
+    """Test copy of the step deviations E = M - I in the sin/cos and sinh/cosh form.
+
+    Operation for operation the arithmetic of every step that
+    ``_step_deviations`` leaves out of its tan form, so it gives the same
+    bits there.  Returns E11, E12, E21, E22.
+    """
+    hq = h * (0.5 * (qa + qb))
+    d = (np.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+    x = (0.25 * (d * d + h * hq))[:, None] - (0.25 * h * h) * lams
+    hyp = x >= 0.0
+    x = np.maximum(np.sqrt(np.abs(x)), 1e-20)
+    with np.errstate(over="ignore"):
+        sn = np.where(hyp, np.sinh(x), np.sin(x))
+        cs = np.where(hyp, np.cosh(x), np.cos(x))
+    c1 = np.where(hyp, 2.0, -2.0) * (sn * sn)
+    s = sn * cs / x
+    sd = s * d[:, None]
+    return np.array([c1 + sd, s * h, (hq[:, None] - h * lams) * s, c1 - sd])
+
+
+def _leaf(qa, qb, h, lams, lam_osc):
+    out = np.empty((4, qa.size, lams.size))
+    spectrum._step_deviations(qa, qb, h, lams, lam_osc, out, np.empty((3, qa.size, lams.size)))
+    return out
+
+
+def test_tan_leaf_within_4_ulp_of_sin_cos():
+    # qa = qb, so d = 0: E11 = E22 = c - 1 and E12 = s h exactly.  The
+    # lambdas run from just above max q, where x is tiny, across the tan
+    # limit x = pi/4 at lambda - q = (128 pi)^2 = 1.6e5
+    h = 1.0 / 256
+    q = 1000.0 * np.sin(2 * np.pi * np.arange(256) * h)
+    lams = np.concatenate((1000.0 + np.geomspace(1e-6, 1.5e5, 40), np.linspace(1.55e5, 1.7e5, 41)))
+    x = np.sqrt((0.25 * h * h) * lams - (0.25 * (h * (h * q)))[:, None])  # as the leaf rounds it
+    tan = x <= np.pi / 4
+    assert tan.any() and not tan.all()
+    got, want = _leaf(q, q, h, lams, 1000.0), _sin_cos_deviations(q, q, h, lams)
+    assert np.array_equal(got[0], got[3])
+    for g, w in ((got[0], want[0]), (got[1] / h, want[1] / h)):
+        assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * np.abs(w))
+        assert np.array_equal(g[~tan], w[~tan])
+        assert not np.array_equal(g[tan], w[tan])
+
+
+def test_sin_cos_leaf_bit_identical_at_or_below_lam_osc():
+    # below min q every step is hyperbolic, between min q and lam_osc the
+    # steps mix; the lambdas above lam_osc in the same block take tan
+    prop = _Propagator(COMPLEX, 256)
+    low = np.concatenate((np.linspace(-30.0, prop.lam_osc, 30), [np.nextafter(prop.lam_osc, -np.inf)]))
+    lams = np.concatenate((low, [np.nextafter(prop.lam_osc, np.inf), 50.0, 2000.0]))
+    args = prop.qa, prop.qb, 1.0 / 256
+    want = _sin_cos_deviations(*args, low)
+    assert np.array_equal(_leaf(*args, low, prop.lam_osc), want)
+    got = _leaf(*args, lams, prop.lam_osc)
+    assert np.array_equal(got[:, :, : low.size], want)
+    assert not np.array_equal(got[:, :, low.size :], _sin_cos_deviations(*args, lams[low.size :]))
+
+
 @pytest.mark.parametrize("steps", [256, 1000, 2048, 4096])
 def test_sweep_closed_forms_zero_potential(steps):
     # the step-by-step product reached 6.0e-13 here (4096 steps, lambda <= -1)
@@ -354,15 +413,21 @@ def test_sweep_closed_forms_zero_potential(steps):
 
 
 @pytest.mark.parametrize(
-    "q, steps",
-    [(mathieu(0.5), 1000), (mathieu(0.5), 2048), (random_hs(1.0, 48, 3), 2048)],
-    ids=["1000", "2048", "random_hs"],
+    "q, steps, top",
+    [
+        (mathieu(0.5), 1000, 2000.0),
+        (mathieu(0.5), 2048, 2000.0),
+        (random_hs(1.0, 48, 3), 2048, 2000.0),
+        # half angles past pi/4 from lambda = (128 pi)^2 = 1.6e5: sin and cos there
+        (mathieu(0.5), 256, 3e5),
+    ],
+    ids=["1000", "2048", "random_hs", "256-past-tan-limit"],
 )
-def test_sweep_matches_sequential_oracle(q, steps):
+def test_sweep_matches_sequential_oracle(q, steps, top):
     # the oracle runs the full period step by step, so this also checks the
     # half-period fold of the even mathieu potential against it
     prop = _Propagator(q, steps)
-    lams = np.linspace(-50.0, 2000.0, 924)
+    lams = np.linspace(-50.0, top, 924)
     m11, _, _, m22 = _sequential_monodromy(prop, lams)
     ref = m11 + m22
     for size in (1, 17, 924):
@@ -381,7 +446,7 @@ def test_disc_within_its_rounding_bound(q, n_max):
     # collapsed one), edges included: there D = trace^2 - 4 is small and
     # its rounding bound B is what decides open, collapsed and the jumps.
     # The oracle runs the full period, the sweep folds the two even cases;
-    # the largest error seen is 0.49 B (power_decay)
+    # the largest error seen is 0.35 B (power_decay)
     centres, widths = zip(*(((lo + hi) / 2, max(hi - lo, 1e-9 * hi)) for lo, hi in band_edges_galerkin(q, n_max).pairs))
     lams = (np.array(centres)[:, None] + np.array(widths)[:, None] * np.linspace(-1.0, 1.0, 21)).ravel()
     prop = _Propagator(q, 2048)
@@ -429,9 +494,9 @@ def _count_sweeps(monkeypatch):
         sweeps.append((self.steps, lams.size))
         return sweep(self, lams)
 
-    def counted_steps(qa, qb, h, lams, out, work):
+    def counted_steps(qa, qb, h, lams, *args):
         chunks.append((qa.size, lams.size))
-        return step_deviations(qa, qb, h, lams, out, work)
+        return step_deviations(qa, qb, h, lams, *args)
 
     monkeypatch.setattr(_Propagator, "_sweep", counted)
     monkeypatch.setattr(spectrum, "_step_deviations", counted_steps)
@@ -637,9 +702,9 @@ def test_refine_roots_open_bracket_raises():
 def test_discriminant_evaluation_budget(monkeypatch):
     # the benchmark's cross-validation pair: 9-point scans, probes reused as
     # scan ends, and Chandrupatla refinement from the parabola edges take
-    # 1038 lambda evaluations in 36 sweeps at 2048 steps (2176 in 51 with
+    # 1043 lambda evaluations in 37 sweeps at 2048 steps (2176 in 51 with
     # 33-point scans and a safeguarded secant).  Both potentials are even,
-    # so each sweep integrates 1024 steps: 1038 x 1024 ~ 1.06M step x lambda
+    # so each sweep integrates 1024 steps: 1043 x 1024 ~ 1.07M step x lambda
     # work, where full-period sweeps took 1042 x 2048 ~ 2.13M
     sweeps, chunks = _count_sweeps(monkeypatch)
     band_edges_discriminant(mathieu(0.5), 8)

@@ -158,7 +158,6 @@ class TailTable:
     m: np.ndarray
     partial_sum: np.ndarray
     increment: np.ndarray
-    increments_decreasing_from: int  # first m after which increments never grow (or -1)
 
 
 def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> TailTable:
@@ -177,30 +176,15 @@ def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> 
         csum = np.cumsum(terms)
     if not np.isfinite(csum[hi - 1]):
         raise NumericalError(f"weighted tail of {w.describe()} overflows float64 by m = {hi}")
-    ms = np.arange(lo, hi + 1)
-    inc = terms[lo - 1 : hi]
-    drop_from = -1
-    for i in range(inc.size - 1):
-        if np.all(np.diff(inc[i:]) <= 0.0):
-            drop_from = int(ms[i])
-            break
-    return TailTable(
-        m=ms,
-        partial_sum=csum[lo - 1 : hi],
-        increment=inc,
-        increments_decreasing_from=drop_from,
-    )
+    return TailTable(m=np.arange(lo, hi + 1), partial_sum=csum[lo - 1 : hi], increment=terms[lo - 1 : hi])
 
 
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     rms_residual: float
     used_points: int
     zero_count: int
-    n_lo: int
-    n_hi: int
 
 
 def decay_slope(r: np.ndarray, n_lo: int, n_hi: int) -> SlopeFit:
@@ -226,15 +210,7 @@ def decay_slope(r: np.ndarray, n_lo: int, n_hi: int) -> SlopeFit:
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     rms = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        rms_residual=rms,
-        used_points=int(np.sum(nz)),
-        zero_count=zero_count,
-        n_lo=n_lo,
-        n_hi=n_hi,
-    )
+    return SlopeFit(slope=float(slope), rms_residual=rms, used_points=int(np.sum(nz)), zero_count=zero_count)
 
 
 def default_fit_start(q: Potential) -> int:
@@ -262,24 +238,21 @@ class MembershipReport:
     ratio is diagnostic only since membership itself is asymptotic.
     """
 
-    n_lo: int
-    n_hi: int
     gamma_norm: float
     two_qhat_norm: float
     resid_plain_norm: float
     ratio: float  # gamma_norm / two_qhat_norm (inf when the denominator is 0)
     triangle_ok: bool
     triangle_slack: float  # resid_norm - |gamma_norm - two_qhat_norm|
-    cumulative_ratio: np.ndarray  # per m in range, ratio of partial norms
 
 
-def _partial_norms(vals: np.ndarray, w: Weight, lo: int, hi: int) -> list[float]:
-    """sqrt(sum_{n=lo}^{m} (w(n) vals(n))^2) for m = lo..hi, one running sum in n order."""
+def _partial_norm(vals: np.ndarray, w: Weight, lo: int, hi: int) -> float:
+    """sqrt(sum_{n=lo}^{hi} (w(n) vals(n))^2), one running sum in n order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.sqrt(np.cumsum((w(np.arange(lo, hi + 1)) * vals[lo - 1 : hi]) ** 2))
-    if not math.isfinite(partial[-1]):
+        norm = math.sqrt(np.cumsum((w(np.arange(lo, hi + 1)) * vals[lo - 1 : hi]) ** 2)[-1])
+    if not math.isfinite(norm):
         raise NumericalError(f"weighted partial norm under {w.describe()} overflows float64 by n = {hi}")
-    return partial.tolist()
+    return norm
 
 
 def verify_membership_consistency(
@@ -289,23 +262,17 @@ def verify_membership_consistency(
     lo, hi = n_range
     if not 1 <= lo <= hi <= report.n_max:
         raise InputError(f"n_range {n_range} outside the report range 1..{report.n_max}")
-    gamma_partial = _partial_norms(report.gamma, w, lo, hi)
-    two_qhat_partial = _partial_norms(report.two_qhat, w, lo, hi)
-    gamma_norm = gamma_partial[-1]
-    two_qhat_norm = two_qhat_partial[-1]
-    resid_norm = _partial_norms(report.resid_plain, w, lo, hi)[-1]
+    gamma_norm = _partial_norm(report.gamma, w, lo, hi)
+    two_qhat_norm = _partial_norm(report.two_qhat, w, lo, hi)
+    resid_norm = _partial_norm(report.resid_plain, w, lo, hi)
     diff = abs(gamma_norm - two_qhat_norm)
-    ratios = [gn / qn if qn > 0 else math.inf for gn, qn in zip(gamma_partial, two_qhat_partial)]
     return MembershipReport(
-        n_lo=lo,
-        n_hi=hi,
         gamma_norm=gamma_norm,
         two_qhat_norm=two_qhat_norm,
         resid_plain_norm=resid_norm,
         ratio=(gamma_norm / two_qhat_norm if two_qhat_norm > 0 else math.inf),
         triangle_ok=bool(diff <= resid_norm),
         triangle_slack=resid_norm - diff,
-        cumulative_ratio=np.array(ratios),
     )
 
 
@@ -322,7 +289,6 @@ class SummabilityReport:
     m: np.ndarray
     gap_partial: np.ndarray
     coeff_partial: np.ndarray
-    gap_increment: np.ndarray
 
 
 def verify_marchenko_ostrovskii(
@@ -358,11 +324,6 @@ def verify_marchenko_ostrovskii(
     if not math.isfinite(acc):
         raise NumericalError(overflow)
     coeff_csum = np.array(coeff)
-    ms = np.arange(lo, hi + 1)
     return SummabilityReport(
-        s=s,
-        m=ms,
-        gap_partial=gap_csum[lo - 1 : hi],
-        coeff_partial=coeff_csum[lo - 1 : hi],
-        gap_increment=gap_terms[lo - 1 : hi],
+        s=s, m=np.arange(lo, hi + 1), gap_partial=gap_csum[lo - 1 : hi], coeff_partial=coeff_csum[lo - 1 : hi]
     )

@@ -24,6 +24,9 @@ WEIGHT_KINDS = ("power", "log_power", "example_2_4", "table")
 # this magnitude count as a monotone divergence of the ratio.
 SANDWICH_SLOPE_TOL = 0.1
 
+# Largest t_max of the scaling-ratio check: 33 ratios per unit of t.
+_OR_TMAX = 1e6
+
 
 def _iterated_log_floor(exponents: tuple[float, ...]) -> int:
     """Smallest k >= 1 where every iterated-log factor of (1+k) is positive."""
@@ -360,10 +363,6 @@ class ConvSizeSample:
 
 @dataclass(frozen=True)
 class ConvLemmaReport:
-    s: float
-    r: float
-    t: float
-    margin: float  # s + r - t
     regime: str  # "bounded" | "fails to hold"
     samples: tuple[ConvSizeSample, ...]
     trend_ok: bool
@@ -387,8 +386,7 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
         raise InputError(f"convolution report requires s, r >= 0, got ({s:g}, {r:g})")
     if t > min(s, r):
         raise InputError(f"t={t:g} exceeds min(s, r)={min(s, r):g}: target order out of range")
-    margin = s + r - t
-    bounded = margin > 0.5
+    bounded = s + r - t > 0.5
     regime = "bounded" if bounded else "fails to hold"
 
     rng = np.random.default_rng(trials.seed)
@@ -409,10 +407,7 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
         growth = samples[-1].max_ratio / samples[0].max_ratio
     else:
         growth = 1.0
-    return ConvLemmaReport(
-        s=s, r=r, t=t, margin=margin, regime=regime,
-        samples=tuple(samples), trend_ok=trend_ok, growth_factor=growth,
-    )
+    return ConvLemmaReport(regime=regime, samples=tuple(samples), trend_ok=trend_ok, growth_factor=growth)
 
 
 # ----------------------------------------------------------------------
@@ -428,8 +423,6 @@ class OrClassReport:
     worst_lambda: float
     a: float
     c: float
-    t_max: float
-    skipped: int  # grid pairs not evaluable (table range)
 
 
 def check_or_class(w: Weight, a: float, c: float, t_max: float) -> OrClassReport:
@@ -437,24 +430,24 @@ def check_or_class(w: Weight, a: float, c: float, t_max: float) -> OrClassReport
 
     Samples t in [1, t_max] at step 1 and 33 points lam in [1, a];
     reports the extremal ratio and where it occurred.  Grid pairs where a
-    table weight cannot be evaluated are skipped and counted.
+    table weight cannot be evaluated are skipped, and t stops at the end
+    of a table.  a and c must be finite and above 1, and t_max must lie in
+    [1, 1e6]: the grid takes 33 ratios per unit of t.
     """
-    if a <= 1 or c <= 1:
-        raise InputError("scaling check requires a > 1 and c > 1")
-    ts = np.arange(1.0, float(t_max) + 1e-9, 1.0)
-    if ts.size == 0:
-        raise InputError("empty t grid")
+    if not (math.isfinite(a) and math.isfinite(c) and a > 1 and c > 1):
+        raise InputError(f"scaling check requires finite a > 1 and c > 1, got a={a!r}, c={c!r}")
+    if not 1 <= t_max <= _OR_TMAX:
+        raise InputError(f"scaling check requires t_max in [1, {_OR_TMAX:g}], got {t_max!r}")
+    bound = w.max_index
+    ts = np.arange(1.0, min(float(t_max), bound) + 1e-9, 1.0)
     lams = np.linspace(1.0, a, 33)
     base = w.at_real(ts)
     worst = 1.0
     worst_t = 1.0
     worst_lam = 1.0
-    skipped = 0
-    bound = w.max_index
     for lam in lams:
         tt = lam * ts
         valid = tt <= bound
-        skipped += int(np.sum(~valid))
         if not np.any(valid):
             continue
         with np.errstate(over="ignore", divide="ignore"):
@@ -471,35 +464,34 @@ def check_or_class(w: Weight, a: float, c: float, t_max: float) -> OrClassReport
             worst_lam = float(lam)
     return OrClassReport(
         passed=bool(worst <= c), worst_ratio=worst, worst_t=worst_t,
-        worst_lambda=worst_lam, a=a, c=c, t_max=float(t_max), skipped=skipped,
+        worst_lambda=worst_lam, a=a, c=c,
     )
 
 
 @dataclass(frozen=True)
 class SandwichReport:
     s: float
-    k_max: int
     c_low: float  # min over k of w(k) / k^s
     c_high: float  # max over k of w(k) / k^(1+s)
     lower_slope: float  # log-log trend of w(k) / k^s over the upper half range
     upper_slope: float  # log-log trend of w(k) / k^(1+s)
-    lower_vanishing: bool
     upper_diverging: bool
     passed: bool
 
 
-def check_sandwich(w: Weight, s: float, k_max: int) -> SandwichReport:
+def check_sandwich(w: Weight, s: float, k_max: int) -> SandwichReport | None:
     """Report whether w(k) sits between k^s and k^(1+s) at finite scale.
 
     The two-sided comparison is asymptotic, so this emits constants plus a
     log-log trend slope over the upper half of the range rather than a
     hard assertion: a lower ratio trending to zero or an upper ratio
-    trending up marks a divergence.
+    trending up marks a divergence.  A slope needs two points, so for
+    k_max < 2 the check does not apply and returns None.
     """
+    if not (math.isfinite(s) and s >= 0):
+        raise InputError(f"sandwich check needs a finite s >= 0, got {s!r}")
     if k_max < 2:
-        raise InputError("sandwich check needs k_max >= 2")
-    if s < 0:
-        raise InputError("sandwich check needs s >= 0")
+        return None
     ks = np.arange(1, k_max + 1, dtype=float)
     wk = np.asarray(w(np.arange(1, k_max + 1)))
     with np.errstate(over="ignore", divide="ignore"):
@@ -516,8 +508,7 @@ def check_sandwich(w: Weight, s: float, k_max: int) -> SandwichReport:
     c_low = float(np.min(low))
     c_high = float(np.max(high))
     return SandwichReport(
-        s=s, k_max=k_max, c_low=c_low, c_high=c_high,
-        lower_slope=lower_slope, upper_slope=upper_slope,
-        lower_vanishing=lower_vanishing, upper_diverging=upper_diverging,
+        s=s, c_low=c_low, c_high=c_high,
+        lower_slope=lower_slope, upper_slope=upper_slope, upper_diverging=upper_diverging,
         passed=bool(c_low > 0 and not lower_vanishing and not upper_diverging),
     )

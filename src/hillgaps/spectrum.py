@@ -106,7 +106,7 @@ class BandEdges:
     pairs: tuple[tuple[float, float], ...]
     method: str
     resolution: int
-    collapsed: tuple[bool, ...] = ()
+    collapsed: tuple[bool, ...]
 
     @property
     def n_max(self) -> int:
@@ -556,6 +556,8 @@ def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = Discriminan
     Evaluated at exactly ``cfg.steps``; for an even q at an even step count
     it is folded from the first half period (see :class:`_Propagator`).
     """
+    if not math.isfinite(lam):
+        raise InputError(f"spectral parameter must be finite, got {lam!r}")
     return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from hillgaps import potential_to_dict, mathieu, power_decay, from_fourier
 from hillgaps import NumericalError, serialize, spectrum
-from hillgaps.cli import main
+from hillgaps.cli import build_parser, main
 
 HUGE_K = {"coeffs": [{"k": 1000000000000, "re": 0.1}]}
 
@@ -158,7 +159,7 @@ def test_cli_outputs_deterministic(files):
     out1 = files["dir"] / "a.json"
     out2 = files["dir"] / "b.json"
     args = ["gaps", "--potential", files["mathieu01"], "--nmax", "6", "--weight", files["w1"],
-            "--range", "1:6", "--format", "json", "--seed", "3"]
+            "--range", "1:6", "--format", "json"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -535,7 +536,9 @@ def _run_contract(d: Path, pot, argv: list[str], weights=()) -> None:
 @example(command="verify", nmax=2, pot=HUGE_K, weights=[], fmt="json")
 @example(command="verify", nmax=1, pot={"coeffs": [{"k": 2, "re": 1e154}]}, weights=[], fmt="json")
 def test_cli_exit_code_contract(command, nmax, pot, weights, fmt):
-    argv = [command, "--nmax", str(nmax), "--method", "galerkin", "--format", fmt]
+    argv = [command, "--nmax", str(nmax), "--method", "galerkin"]
+    if command != "verify":  # verify always writes JSON
+        argv += ["--format", fmt]
     with tempfile.TemporaryDirectory() as tmp:
         _run_contract(Path(tmp), pot, argv, weights if command != "spectrum" else ())
 
@@ -557,9 +560,10 @@ def test_cli_exit_code_contract(command, nmax, pot, weights, fmt):
 @example(argv=["spectrum", "--method", "both", "--format", "json"], nmax=2, pot={"mean": 1e308, "coeffs": []},
          lam="0")
 def test_cli_exit_code_contract_discriminant(argv, nmax, pot, lam):
-    extra = ["--lam", lam] if argv[0] == "converge" else []
+    # converge takes its step counts from --sweep
+    extra = ["--lam", lam] if argv[0] == "converge" else ["--steps", "256"]
     with tempfile.TemporaryDirectory() as tmp:
-        _run_contract(Path(tmp), pot, [*argv, "--nmax", str(nmax), "--steps", "256", *extra])
+        _run_contract(Path(tmp), pot, [*argv, "--nmax", str(nmax), *extra])
 
 
 def test_dump_json_rejects_non_finite():
@@ -585,10 +589,84 @@ def test_overflowing_weight_exits_3_without_output(files, capsys, fmt):
     out_dir = files["dir"] / "out"
     out_dir.mkdir()
     for command in ("gaps", "verify"):
-        argv = [command, "--potential", str(pot), "--weight", str(w), "--format", fmt, "--out", str(out_dir / "g.out")]
+        argv = [command, "--potential", str(pot), "--weight", str(w), "--out", str(out_dir / "g.out")]
+        if command == "gaps":
+            argv += ["--format", fmt]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 3
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "power(s=400)" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+
+# ------------------------------------------------------------------ option sets
+
+OPTIONS = {
+    "spectrum": {"potential", "nmax", "method", "trunc", "steps", "out", "format"},
+    "gaps": {"potential", "nmax", "method", "trunc", "steps", "out", "format", "weight", "range"},
+    "verify": {
+        "potential", "nmax", "method", "trunc", "steps", "out", "seed", "weight", "range",
+        "sandwich_s", "or_a", "or_c", "or_tmax", "mo_s",
+    },
+    "converge": {"potential", "nmax", "sweep", "target", "lam", "out", "format"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, expected in OPTIONS.items():
+        declared = {a.dest for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+        assert declared == expected, command
+    assert sum(len(v) for v in OPTIONS.values()) == 37
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--seed", "1"],
+        ["verify", "--format", "csv"],
+        ["converge", "--sweep", "256,512", "--steps", "512"],
+        ["gaps", "--method", "both"],
+    ],
+    ids=["spectrum-seed", "verify-format", "converge-steps", "gaps-both"],
+)
+def test_options_a_subcommand_does_not_read_exit_2(files, capsys, argv):
+    assert main([argv[0], "--potential", files["mathieu01"], *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--or-tmax", "nan"], "t_max"),
+        (["verify", "--or-tmax", "inf"], "t_max"),
+        (["verify", "--or-tmax", "1000001"], "t_max"),
+        (["verify", "--or-tmax", "0.5"], "t_max"),
+        (["verify", "--or-a", "nan"], "finite a > 1"),
+        (["verify", "--or-a", "inf"], "finite a > 1"),
+        (["verify", "--or-c", "nan"], "finite a > 1"),
+        (["verify", "--sandwich-s", "nan"], "finite s >= 0"),
+        (["verify", "--sandwich-s", "inf"], "finite s >= 0"),
+        (["converge", "--target", "steps", "--sweep", "256,512", "--lam", "nan"], "spectral parameter"),
+        (["converge", "--target", "steps", "--sweep", "256,512", "--lam", "inf"], "spectral parameter"),
+        # a one-entry table skips the sandwich fit and ends the scaling grid at t = 1
+        (["verify", "--weight", "TABLE1", "--sandwich-s", "nan"], "finite s >= 0"),
+        (["verify", "--weight", "TABLE1", "--or-tmax", "inf"], "t_max"),
+    ],
+    ids=[
+        "or-tmax-nan", "or-tmax-inf", "or-tmax-above-1e6", "or-tmax-below-1", "or-a-nan", "or-a-inf", "or-c-nan",
+        "sandwich-s-nan", "sandwich-s-inf", "lam-nan", "lam-inf", "table1-sandwich-s-nan", "table1-or-tmax-inf",
+    ],
+)
+def test_non_finite_or_unbounded_parameters_exit_2(files, capsys, argv, message):
+    table1 = files["dir"] / "table1.json"
+    table1.write_text(json.dumps({"kind": "table", "values": [2]}), encoding="utf-8")
+    argv = [str(table1) if tok == "TABLE1" else tok for tok in argv]
+    out = files["dir"] / "p.json"
+    assert main([argv[0], "--potential", files["mathieu01"], "--nmax", "1", *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err and "Traceback" not in err
+    assert not out.exists()

@@ -2,8 +2,9 @@
 
 Each case runs ``hillgaps.cli.main`` with ``--out`` into a directory of its
 own and compares every file written there (the artifact and its sibling
-files) with the committed copies under ``tests/golden/<case>/``.  Only
-files are compared; diagnostics on stdout and stderr are not artifacts.
+files) with the committed copies under ``tests/golden/<case>/``.  Two
+cases also run without ``--out``, and their stdout artifact is compared
+with the same files; diagnostics on stderr are not artifacts.
 A change that alters an output on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -71,17 +72,22 @@ CASES = {
 }
 
 
-def run_case(case: str, inputs_dir: Path, out_dir: Path) -> int:
-    """Write the inputs, run the case with its artifact in ``out_dir``; returns the exit code."""
+def case_argv(case: str, inputs_dir: Path) -> list[str]:
+    """Write the inputs into ``inputs_dir`` and return the case's argv, without ``--out``."""
     inputs_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, doc in INPUTS.items():
         p = inputs_dir / f"{name}.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(p)
-    out_name, argv = CASES[case]
+    return [paths.get(tok, tok) for tok in CASES[case][1]]
+
+
+def run_case(case: str, inputs_dir: Path, out_dir: Path) -> int:
+    """Write the inputs, run the case with its artifact in ``out_dir``; returns the exit code."""
+    argv = case_argv(case, inputs_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return main([paths.get(tok, tok) for tok in argv] + ["--out", str(out_dir / out_name)])
+    return main(argv + ["--out", str(out_dir / CASES[case][0])])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -92,6 +98,25 @@ def test_golden_output(case, tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == expected
     for name in expected:
         assert (out_dir / name).read_bytes() == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+
+
+def _golden(case: str, name: str) -> str:
+    return (GOLDEN / case / name).read_text(encoding="utf-8")
+
+
+# without --out the artifacts go to stdout: one edge table holding the rows of
+# both routes, and the gap table followed by its summary
+STDOUT = {
+    "spectrum_both_csv": lambda: _golden("spectrum_both_csv", "edges.galerkin.csv")
+    + "".join(_golden("spectrum_both_csv", "edges.discriminant.csv").splitlines(keepends=True)[1:]),
+    "gaps_csv": lambda: _golden("gaps_csv", "gaps.csv") + _golden("gaps_csv", "gaps.summary.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT))
+def test_golden_stdout(case, tmp_path, capsys):
+    assert main(case_argv(case, tmp_path)) == 0
+    assert capsys.readouterr().out == STDOUT[case]()
 
 
 if __name__ == "__main__":

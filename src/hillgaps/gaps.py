@@ -42,7 +42,7 @@ def gaps(edges: BandEdges) -> tuple[np.ndarray, np.ndarray]:
     return out, clamped
 
 
-def rho(q: Potential, n: int) -> complex:
+def rho(q: Potential, n: int | np.ndarray) -> complex | np.ndarray:
     """Second-order gap correction at index n, as a direct exact sum.
 
     For q = sum_k c(k) exp(2 pi i k x), reducing the operator onto the
@@ -54,18 +54,81 @@ def rho(q: Potential, n: int) -> complex:
     b = n - a nonzero and c(b) != 0.  The terms skipped are exact zeros, so
     this has the bits of the sum over every a = n-K..K for cutoff K, in
     O(number of coefficients) steps however large K is.  Vanishes
-    identically for n > 2K.
+    identically for n > 2K.  ``n`` is one int, for one complex, or an
+    integer array, for an array of the same values at once (see
+    :func:`_rho_at`).
     """
-    if n < 1:
+    if np.ndim(n) == 0:
+        if n < 1:
+            raise InputError("rho is defined for n >= 1")
+        return complex(_rho_at(q, [n])[0]) if n <= 2 * q.cutoff else 0j
+    ns = np.asarray(n)
+    if ns.size and ns.min() < 1:
         raise InputError("rho is defined for n >= 1")
-    acc = 0j
-    for a, ca in q.nonzero_coefficients():
-        b = n - a
-        if a != 0 and b != 0:
-            cb = q.coefficient(b)
-            if cb:
-                acc += ca * cb / (a * b)
-    return acc / (4.0 * math.pi * math.pi)
+    return _rho_at(q, ns)
+
+
+def _quot(re: np.ndarray, im: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """(re + i im) / d for real nonzero d, as CPython before 3.14 divides a complex by a real.
+
+    That division takes d as d + 0i and scales by ratio = 0/d and
+    denom = d + 0 * ratio; the ratio terms are signed zeros that can flip
+    the sign of a zero part, and an inf meets them as NaN.  CPython 3.14
+    divides each part by d instead.  The older rule is kept on purpose,
+    so the results do not depend on the Python version.
+    """
+    ratio = 0.0 / d
+    denom = d + 0.0 * ratio
+    return (re + im * ratio) / denom, (im - re * ratio) / denom
+
+
+# Largest number of terms in one block of the rho kernel: 512 KiB of
+# complex values, whatever the number of indices and coefficients.
+_RHO_BLOCK = 1 << 15
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _rho_at(q: Potential, ns: np.ndarray) -> np.ndarray:
+    """rho(n) for each index of ``ns`` (every one >= 1), with the bits of the scalar sum.
+
+    For each n the terms c(a) c(n-a) / (a (n-a)) are summed in ascending a
+    over the nonzero coefficients, a != 0; c(n-a) is looked up among them
+    by binary search, so the memory is O(indices x coefficients), in
+    blocks of at most _RHO_BLOCK terms, and never O(cutoff).  The complex
+    product and the division by the integer a (n-a) are spelled out as
+    CPython computes them (see :func:`_quot`).  A term has |a|, |n-a| <= K
+    for the cutoff K.  While K < 2^53 the indices are int64, where n - a
+    can wrap only far below -K, and a (n-a) is formed in float64, which is
+    the integer product rounded once, as Python rounds it; past that they
+    are Python integers, each product exact before its one rounding.  A
+    term that Python skips is an exact +0 here, which leaves a running sum
+    that starts at +0 unchanged, and the sum is np.add.accumulate from a
+    zero column, as sequential as Python's.
+    """
+    small = q.cutoff < 2**53
+    itype = np.int64 if small else object
+    terms = [(a, c) for a, c in q.nonzero_coefficients() if a != 0]
+    keys = np.array([a for a, _ in terms], dtype=itype)
+    vals = np.array([c for _, c in terms], dtype=complex)
+    ns = np.asarray(ns, dtype=itype)
+    ar, ai = vals.real, vals.imag
+    out = np.zeros(ns.size, dtype=complex)
+    rows = max(1, _RHO_BLOCK // max(1, keys.size))
+    for i0 in range(0, ns.size, rows):
+        b = ns[i0 : i0 + rows, None] - keys
+        pos = np.minimum(np.searchsorted(keys, b), keys.size - 1)
+        cb = vals[pos]
+        hit = (keys[pos] == b) & (cb != 0)
+        br, bi = cb.real, cb.imag
+        den = keys.astype(float) * b if small else (keys * b).astype(float)
+        tr, ti = _quot(ar * br - ai * bi, ar * bi + ai * br, den)
+        acc = np.zeros((b.shape[0], keys.size + 1), dtype=complex)
+        acc.real[:, 1:] = np.where(hit, tr, 0.0)
+        acc.imag[:, 1:] = np.where(hit, ti, 0.0)
+        out[i0 : i0 + rows] = np.add.accumulate(acc, axis=1)[:, -1]
+    re, im = _quot(out.real, out.imag, 4.0 * math.pi * math.pi)
+    out.real, out.imag = re, im
+    return out
 
 
 def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
@@ -130,7 +193,7 @@ def residuals(q: Potential, edges: BandEdges) -> GapReport:
     gamma, clamped = gaps(edges)
     ns = np.arange(1, edges.n_max + 1)
     qn = np.array([q.coefficient(int(n)) for n in ns])
-    rhos = np.array([rho(q, int(n)) for n in ns])
+    rhos = rho(q, ns)
     two_qhat = 2.0 * np.abs(qn)
     resid_plain = gamma - two_qhat
     resid_corrected = gamma - 2.0 * np.abs(qn + rhos)

@@ -109,7 +109,7 @@ def hormander_norm(q: Potential, w: Weight) -> float:
     terms = q.nonzero_coefficients()
     k = np.array([a for a, _ in terms], dtype=np.int64)
     v = np.array([c for _, c in terms], dtype=complex)
-    return weighted_norm_at(k, v, w)
+    return float(weighted_norm_at(k, v, w))
 
 
 # ----------------------------------------------------------------------

@@ -264,6 +264,12 @@ def converge_to_doc(target: str, rows: list[dict]) -> dict:
 
 
 def converge_to_csv(rows: list[dict]) -> str:
-    """The rows as one table over the sorted union of their keys; a missing cell is empty."""
-    keys = sorted({k for r in rows for k in r})
-    return to_csv(keys, [[r.get(k, "") for k in keys] for r in rows])
+    """The rows as one table over the sorted union of their keys; a missing cell is empty.
+
+    The estimated orders, one list in the JSON form, take one row each.
+    """
+    flat = []
+    for r in rows:
+        flat += [{"estimated_order": o} for o in r["estimated_order"]] if "estimated_order" in r else [r]
+    keys = sorted({k for r in flat for k in r})
+    return to_csv(keys, [[r.get(k, "") for k in keys] for r in flat])

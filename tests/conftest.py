@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's own code paths: the convolution
 oracle is a literal double sum, and the operator-norm oracle maximizes the
-convolution ratio by alternating singular-value steps.
+convolution ratio by alternating singular-value steps.  ``loop_convolve``,
+``loop_norm`` and ``loop_rho`` are frozen copies of the per-shift, per-pair
+and per-index loops that the library's batched kernels replaced; the
+kernels must reproduce their bits, signed zeros and non-finite values
+included.
 """
+
+import math
 
 import numpy as np
 
-from hillgaps import TwoSidedSeq
+from hillgaps import TwoSidedSeq, power_weight
 
 
 def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> np.ndarray:
@@ -24,6 +30,70 @@ def brute_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> np.ndarray:
             acc += at(a, k - j) * at(b, j)
         out.append(acc)
     return np.array(out)
+
+
+def bits(z) -> tuple[int, ...]:
+    """The raw 64-bit words of a float or complex value or array, so -0.0 and NaN payloads compare too."""
+    arr = np.asarray(z)
+    arr = np.ascontiguousarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    return tuple(arr.view(np.uint64).ravel().tolist())
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def loop_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> np.ndarray:
+    """Convolution as one shifted copy of x added per nonzero y(j), ascending j, with (x, y) in canonical order."""
+
+    def precedes(a, b):
+        if a.support != b.support:
+            return a.support < b.support
+        fa, fb = a.coef.view(float), b.coef.view(float)
+        diff = np.flatnonzero(fa != fb)
+        return diff.size == 0 or bool(fa[diff[0]] < fb[diff[0]])
+
+    x, y = (a, b) if precedes(a, b) else (b, a)
+    out = np.zeros(2 * (x.support + y.support) + 1, dtype=complex)
+    re, im = out.real, out.imag
+    xr, xi = x.coef.real, x.coef.imag
+    n = x.coef.size
+    for j in np.flatnonzero(y.coef):
+        yr, yi = y.coef.real[j], y.coef.imag[j]
+        re[j : j + n] += xr * yr - xi * yi
+        im[j : j + n] += xr * yi + xi * yr
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def loop_norm(a: TwoSidedSeq, w) -> float:
+    """Weighted norm with the weight evaluated at the nonzero indices of one sequence, as a running sum."""
+    idx = np.flatnonzero(a.coef)
+    if idx.size == 0:
+        return 0.0
+    wk = w(idx - a.support)
+    v = a.coef[idx]
+    return math.sqrt(np.cumsum((wk * wk) * (v.real * v.real + v.imag * v.imag))[-1])
+
+
+def loop_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: float) -> float:
+    """||a*b||_{h^t} / (||a||_{h^s} ||b||_{h^r}) for one pair, from the loop oracles."""
+    ws, wr, wt = power_weight(s), power_weight(r), power_weight(t)
+    return loop_norm(TwoSidedSeq(loop_convolve(a, b)), wt) / (loop_norm(a, ws) * loop_norm(b, wr))
+
+
+def loop_rho(q, n: int) -> complex:
+    """rho(n) as Python's scalar complex sum over the nonzero c(a), ascending a.
+
+    The divisors are made complex, which is how CPython before 3.14 divides
+    a complex by an int or a float; 3.14 divides each part instead, and
+    the library keeps the older rule on every version.
+    """
+    acc = 0j
+    for a, ca in q.nonzero_coefficients():
+        b = n - a
+        if a != 0 and b != 0:
+            cb = q.coefficient(b)
+            if cb:
+                acc += ca * cb / complex(a * b)
+    return acc / complex(4.0 * math.pi * math.pi)
 
 
 def _pw(s: float, kmax: int) -> np.ndarray:

@@ -420,6 +420,25 @@ def test_converge_steps_fourth_order(files, tmp_path):
     assert orders[0] == pytest.approx(4.0, abs=0.6)
 
 
+@pytest.mark.parametrize("sweep", ["256,512,1024", "256,512,1024,2048"])
+def test_converge_steps_csv_writes_one_order_per_row(tmp_path, sweep):
+    # each order was one quoted cell holding a Python list repr
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps({"coeffs": [{"k": 1, "re": 1.0}, {"k": 2, "re": 0.5}]}), encoding="utf-8")
+    outs = {fmt: tmp_path / f"c.{fmt}" for fmt in ("csv", "json")}
+    for fmt, out in outs.items():
+        rc = main(["converge", "--potential", str(p), "--target", "steps", "--sweep", sweep,
+                   "--lam", "60", "--format", fmt, "--out", str(out)])
+        assert rc == 0
+    orders = json.loads(outs["json"].read_text())["rows"][-1]["estimated_order"]
+    assert len(orders) == len(sweep.split(",")) - 2
+    table = list(csv.DictReader(io.StringIO(outs["csv"].read_text())))
+    assert list(table[0]) == ["abs_change", "delta", "estimated_order", "level"]
+    assert [r["estimated_order"] for r in table if r["estimated_order"]] == [format(o, ".17g") for o in orders]
+    assert all(r["level"] == "" for r in table[-len(orders):])
+    assert "[" not in outs["csv"].read_text()
+
+
 def test_converge_steps_zero_potential_exact(files, tmp_path):
     out = tmp_path / "cz.json"
     rc = main(["converge", "--potential", files["zero"], "--nmax", "4", "--sweep", "256,512,1024",

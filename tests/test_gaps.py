@@ -1,7 +1,10 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import bits, loop_rho
 
 from hillgaps import (
     BandEdges,
@@ -89,6 +92,78 @@ def test_rho_sparse_sum_matches_dense_loop_bitwise():
             assert rho(q, n) == dense / (4.0 * math.pi * math.pi)
 
 
+def _signed_zero_potential(rng, mean: float):
+    """Sparse random coefficients, some purely real or imaginary with signed-zero parts."""
+    coeffs = []
+    for k in np.flatnonzero(rng.random(24) < 0.5) + 1:
+        re, im = rng.normal(size=2)
+        kind = rng.integers(5)
+        re = -0.0 if kind == 1 else 0.0 if kind == 2 else re
+        im = -0.0 if kind == 3 else 0.0 if kind == 4 else im
+        coeffs.append((int(k), complex(re, im)))
+    return from_fourier(mean, coeffs)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1.5, -2.0])
+def test_rho_kernel_matches_scalar_loop_bitwise(mean):
+    rng = np.random.default_rng(int(10 * mean) + 40)
+    for _ in range(20):
+        q = _signed_zero_potential(rng, mean)
+        ns = np.arange(1, 2 * q.cutoff + 3)
+        expected = np.array([loop_rho(q, int(n)) for n in ns])
+        assert bits(rho(q, ns)) == bits(expected)
+        for n in (1, 2, 2 * q.cutoff + 2):
+            assert type(rho(q, n)) is complex
+            assert bits(rho(q, n)) == bits(loop_rho(q, n))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_rho_kernel_blocks_keep_the_bits(monkeypatch, budget):
+    monkeypatch.setattr(sys.modules["hillgaps.gaps"], "_RHO_BLOCK", budget)
+    q = _signed_zero_potential(np.random.default_rng(budget), 0.5)
+    ns = np.arange(1, 2 * q.cutoff + 3)
+    assert bits(rho(q, ns)) == bits(np.array([loop_rho(q, int(n)) for n in ns]))
+
+
+def test_rho_kernel_overflowing_products_follow_the_fixed_division():
+    # ca * cb overflows to inf, and the complex-by-real division of CPython
+    # before 3.14 then meets inf * 0 through its ratio term: NaN in both
+    # parts, on every Python version, where dividing each part gives infs
+    for q in (
+        from_fourier(0.0, [(1, 1e200), (2, 1e200j), (3, complex(1e200, -1e180))]),
+        from_fourier(2.0, [(1, 1e160 + 1e160j), (2, -3e160)]),
+    ):
+        ns = np.arange(1, 2 * q.cutoff + 2)
+        got = rho(q, ns)
+        assert np.isnan(got.real[:-1]).all() and np.isnan(got.imag[:-1]).all()
+        assert bits(got[-1]) == bits(0j)
+        assert bits(got) == bits(np.array([loop_rho(q, int(n)) for n in ns]))
+
+
+def test_rho_array_form_checks_its_indices():
+    q = _signed_zero_potential(np.random.default_rng(3), 1.0)
+    assert rho(q, np.arange(1, 1)).shape == (0,)
+    with pytest.raises(InputError):
+        rho(q, np.array([3, 0, 5]))
+
+
+def test_rho_past_int64_and_at_huge_cutoffs():
+    # an index past int64 is past 2K; a cutoff K >= 2^53 takes its
+    # indices and a (n - a) as Python integers, each rounded once: at
+    # n = k1 + k2 the product of the rounded factors is one ulp off
+    assert bits(rho(mathieu(0.5), 2**63)) == bits(0j)
+    assert bits(rho(mathieu(0.5), 10**30)) == bits(0j)
+    k, k1, k2 = 2**61, 2**54 + 3, 2**55 + 5
+    assert float(k1 * k2) != float(k1) * float(k2)
+    q = from_fourier(1.0, [(k1, 0.75), (k2, -0.5j), (2**60, 0.5), (2**60 + 3, 0.25j), (k, 1 + 1j), (k + 7, -0.5)])
+    ns = [1, k1 + k2, k, k + 3, 2 * k, 2 * k + 7, 2 * k + 14, 3 * 2**60, 3 * 2**60 + 3, 2 * k + 15, 2**64]
+    expected = [loop_rho(q, n) for n in ns]
+    assert sum(z != 0 for z in expected) == 8
+    assert bits(rho(q, np.array(ns, dtype=object))) == bits(np.array(expected))
+    for n, z in zip(ns, expected):
+        assert bits(rho(q, n)) == bits(z)
+
+
 def test_rho_huge_cutoff_is_immediate():
     q = from_fourier(0.0, [(10**12, 0.1)])
     assert rho(q, 1) == 0j
@@ -144,6 +219,22 @@ def test_residuals_zero_potential_all_zero():
     for col in (rep.gamma, rep.two_qhat, rep.resid_plain, rep.resid_corrected):
         assert np.array_equal(col, np.zeros(6))
     assert np.array_equal(rep.rho, np.zeros(6, dtype=complex))
+
+
+def test_residuals_huge_cutoff_is_immediate():
+    # c(n - a) is looked up among the nonzero coefficients: nothing of size K
+    q = from_fourier(0.0, [(10**12, 0.1)])
+    pairs = tuple((float(n) ** 2, float(n) ** 2 + 0.5) for n in range(1, 5))
+    edges = BandEdges(lambda0=0.0, pairs=pairs, method="synthetic", resolution=0, collapsed=(False,) * 4)
+    tracemalloc.start()
+    try:
+        rep = residuals(q, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(rep.rho) == bits(np.zeros(4, dtype=complex))
+    assert np.array_equal(rep.gamma, np.full(4, 0.5))
+    assert peak < 2**20
 
 
 def test_residuals_recompute_exactly():

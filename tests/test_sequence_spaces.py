@@ -1,8 +1,11 @@
 import math
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import brute_convolve, operator_constant
+from conftest import bits, brute_convolve, loop_convolve, loop_ratio, operator_constant
 
 from hillgaps import (
     ConvTrials,
@@ -199,6 +202,82 @@ def test_convolve_matches_double_sum_oracle():
         assert np.array_equal(convolve(a, b).coef, brute_convolve(x, y))
 
 
+def _with_zeros(rng, c):
+    """A copy of c with zero entries and signed-zero parts scattered in."""
+    c = c.copy()
+    c[rng.random(c.size) < 0.25] = 0
+    c[rng.random(c.size) < 0.1] = complex(-0.0, -0.0)
+    c.real[rng.random(c.size) < 0.2] = -0.0
+    c.imag[rng.random(c.size) < 0.2] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("na, nb", [(0, 0), (0, 5), (3, 7), (7, 3), (6, 6)])
+def test_convolve_kernel_matches_loop_oracle_bitwise(na, nb):
+    rng = np.random.default_rng(100 + 10 * na + nb)
+    for _ in range(10):
+        a = TwoSidedSeq(_with_zeros(rng, rand_seq(rng, na).coef))
+        b = TwoSidedSeq(_with_zeros(rng, rand_seq(rng, nb).coef))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert bits(convolve(x, y).coef) == bits(loop_convolve(x, y))
+
+
+def test_convolve_kernel_batch_rows_with_zeros_at_different_shifts():
+    # a shift where y(j) = 0 in some rows only adds +0 there, and an inf of
+    # x in such a row meets no 0
+    seq = sys.modules["hillgaps.sequence_spaces"]
+    rng = np.random.default_rng(8)
+    for na, nb in ((0, 3), (4, 9), (6, 6)):
+        a = np.array([_with_zeros(rng, rand_seq(rng, na).coef) for _ in range(6)])
+        b = np.array([_with_zeros(rng, rand_seq(rng, nb).coef) for _ in range(6)])
+        a[2, 0] = np.inf
+        b[2, :] = 0.0
+        b[2, 1] = 2 - 1j
+        out = seq._convolve_rows(*seq._ordered(a, b))
+        for i in range(6):
+            assert bits(out[i]) == bits(loop_convolve(TwoSidedSeq(a[i]), TwoSidedSeq(b[i])))
+
+
+def test_convolve_kernel_non_finite_entry_against_zero_partner():
+    # the zero entries of the summed operand add nothing, so the inf meets no 0
+    x = TwoSidedSeq(np.array([np.inf, 1 - 2j, 2]))
+    y = TwoSidedSeq(np.array([0, -0.0, 3 + 3j, 0, 0]))
+    out = convolve(x, y).coef
+    assert not np.isnan(out).any()
+    assert bits(out) == bits(loop_convolve(x, y))
+    # a non-finite entry of the summed operand meets the zeros of the shifted
+    # one in both, with the same NaN bits
+    x = TwoSidedSeq(np.array([0, 1, -0.0]))
+    y = TwoSidedSeq(np.array([0, np.inf, 3 + 3j, complex(np.nan, 1), 0]))
+    assert bits(convolve(x, y).coef) == bits(loop_convolve(x, y))
+
+
+def test_convolve_support_4096_bitwise_in_bounded_memory_and_time():
+    # the largest support verify convolves: no dense grid of all 8193 x 16385
+    # shifted products (2 GiB), and no slower than the per-shift loop
+    rng = np.random.default_rng(4096)
+    a, b = rand_seq(rng, 4096), rand_seq(rng, 4096)
+    times = {"kernel": [], "loop": []}
+    for _ in range(2):
+        for name, f in (("loop", loop_convolve), ("kernel", lambda a, b: convolve(a, b).coef)):
+            t0 = time.perf_counter()
+            out = f(a, b)
+            times[name].append(time.perf_counter() - t0)
+            if name == "loop":
+                expected = out
+    tracemalloc.start()
+    try:
+        out = convolve(a, b).coef
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(out) == bits(expected)
+    assert peak < 64 * 2**20
+    # the kernel runs the loop's eight ufunc calls per shift into buffers;
+    # the margin is for timing noise only
+    assert min(times["kernel"]) <= 1.1 * min(times["loop"])
+
+
 def test_convolve_commutative_bit_exact():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -247,6 +326,35 @@ def test_failure_regime_indicator_growth():
         n = s_.size
         norm2 = (2 * n + 1) ** 2 + 2 * sum(j * j for j in range(1, 2 * n + 1))
         assert s_.max_ratio == pytest.approx(math.sqrt(norm2) / (2 * n + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("srt", [(1.0, 1.0, 1.0), (1.5, 1.25, 0.5), (0.0, 0.0, 0.0), (0.5, 0.25, 0.25)])
+def test_conv_lemma_batched_draw_matches_per_pair_path(seed, srt):
+    # one draw of (re a, im a, re b, im b) per pair is the stream of one
+    # pair of sequences at a time, and the batched ratios have its bits
+    s, r, t = srt
+    trials = ConvTrials(sizes=(4, 8, 16), pairs_per_size=12, seed=seed)
+    rep = conv_lemma_report(s, r, t, trials)
+    rng = np.random.default_rng(seed)
+    for sample, n in zip(rep.samples, trials.sizes):
+        if rep.regime == "bounded":
+            pairs = [(rand_seq(rng, n), rand_seq(rng, n)) for _ in range(trials.pairs_per_size)]
+        else:
+            pairs = [(TwoSidedSeq.indicator(n), TwoSidedSeq.indicator(n))]
+        ratios = [loop_ratio(a, b, s, r, t) for a, b in pairs]
+        assert sample.size == n
+        assert bits(sample.max_ratio) == bits(max(ratios))
+        assert bits(sample.mean_ratio) == bits(float(np.mean(ratios)))
+
+
+def test_convolution_ratio_matches_per_pair_path_bitwise():
+    rng = np.random.default_rng(21)
+    for na, nb in ((2, 5), (5, 2), (4, 4)):
+        a = TwoSidedSeq(_with_zeros(rng, rand_seq(rng, na).coef))
+        b = TwoSidedSeq(_with_zeros(rng, rand_seq(rng, nb).coef))
+        for srt in ((1.0, 1.0, 1.0), (1.5, 0.75, -0.5)):
+            assert bits(convolution_ratio(a, b, *srt)) == bits(loop_ratio(a, b, *srt))
 
 
 def test_bounded_regime_random_pairs_below_constant():

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .potential import Potential
-from .sequence_spaces import TwoSidedSeq, Weight, convolve
+from .potential import Potential, hormander_norm
+from .sequence_spaces import TwoSidedSeq, Weight, _weighted_squares, convolve, power_weight, weighted_norm_at
 from .spectrum import BandEdges, _edge_tol
 
 
@@ -233,9 +233,8 @@ def weighted_tail_report(r: np.ndarray, w: Weight, n_range: tuple[int, int]) -> 
     lo, hi = n_range
     if not 1 <= lo <= hi <= r.size:
         raise InputError(f"n_range {n_range} outside the sequence length {r.size}")
-    ns = np.arange(1, r.size + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.asarray(w(ns)) ** 2 * r**2
+    terms = _weighted_squares(np.arange(1, r.size + 1), r, w)
+    with np.errstate(over="ignore"):
         csum = np.cumsum(terms)
     if not np.isfinite(csum[hi - 1]):
         raise NumericalError(f"weighted tail of {w.describe()} overflows float64 by m = {hi}")
@@ -278,9 +277,6 @@ def decay_slope(r: np.ndarray, n_lo: int, n_hi: int) -> SlopeFit:
 
 def default_fit_start(q: Potential) -> int:
     """Default start of the asymptotic range: max(4, 2 ceil ||q||_{h^0})."""
-    from .potential import hormander_norm
-    from .sequence_spaces import power_weight
-
     norm = hormander_norm(q, power_weight(0.0))
     if not math.isfinite(norm):
         raise NumericalError("potential h^0 norm overflows float64, so there is no default fit range; give one")
@@ -296,8 +292,9 @@ def default_fit_start(q: Potential) -> int:
 class MembershipReport:
     """Finite-scale comparison of gap-sequence and coefficient-sequence norms.
 
-    The triangle inequality |gamma_norm - two_qhat_norm| <= resid_norm is
-    an exact statement about these finite sums and is asserted; the norm
+    The triangle inequality |gamma_norm - two_qhat_norm| <= resid_norm
+    holds for the exact norms and is asserted up to the rounding of the
+    computed ones (see :func:`verify_membership_consistency`); the norm
     ratio is diagnostic only since membership itself is asymptotic.
     """
 
@@ -309,32 +306,41 @@ class MembershipReport:
     triangle_slack: float  # resid_norm - |gamma_norm - two_qhat_norm|
 
 
-def _partial_norm(vals: np.ndarray, w: Weight, lo: int, hi: int) -> float:
-    """sqrt(sum_{n=lo}^{hi} (w(n) vals(n))^2), one running sum in n order."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = math.sqrt(np.cumsum((w(np.arange(lo, hi + 1)) * vals[lo - 1 : hi]) ** 2)[-1])
-    if not math.isfinite(norm):
-        raise NumericalError(f"weighted partial norm under {w.describe()} overflows float64 by n = {hi}")
-    return norm
-
-
 def verify_membership_consistency(
     q: Potential, w: Weight, report: GapReport, n_range: tuple[int, int]
 ) -> MembershipReport:
-    """Compare weighted partial norms of gap lengths and coefficient moduli."""
+    """Compare weighted partial norms of gap lengths and coefficient moduli, from one batched running sum.
+
+    The triangle check allows for rounding.  With a = gamma, b = two_qhat,
+    r = fl(a - b) as stored, m terms and u = eps/2: |N(a) - N(b)| <= N(a - b)
+    holds exactly for the exact norms N under the computed weights.  A term
+    w^2 (v^2 + 0) takes three roundings, the running sum m - 1 and the sqrt
+    one, so a computed norm N' is within e = (m + 3) u (1 + O(mu)) of N;
+    and N(r) >= (1 - u) N(a - b).  With the rounding of |N'(a) - N'(b)|,
+
+        |N'(a) - N'(b)| - N'(r) <= (e + 2u) N'(r) + e (N'(a) + N'(b)) + O((mu)^2)
+                                <= (m + 5) u (N'(a) + N'(b) + N'(r)) + O((mu)^2).
+
+    ``triangle_ok`` allows twice that first-order bound, (m + 5) eps times
+    the sum of the three norms, assuming no term falls below 2^-1022 (where
+    a product's error is absolute).  ``triangle_slack`` stays raw.
+    """
     lo, hi = n_range
     if not 1 <= lo <= hi <= report.n_max:
         raise InputError(f"n_range {n_range} outside the report range 1..{report.n_max}")
-    gamma_norm = _partial_norm(report.gamma, w, lo, hi)
-    two_qhat_norm = _partial_norm(report.two_qhat, w, lo, hi)
-    resid_norm = _partial_norm(report.resid_plain, w, lo, hi)
+    rows = np.stack([report.gamma, report.two_qhat, report.resid_plain])[:, lo - 1 : hi]
+    norms = weighted_norm_at(np.arange(lo, hi + 1), rows, w)
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError(f"weighted partial norm under {w.describe()} overflows float64 by n = {hi}")
+    gamma_norm, two_qhat_norm, resid_norm = norms.tolist()
     diff = abs(gamma_norm - two_qhat_norm)
+    allowance = (hi - lo + 6) * np.finfo(float).eps * (gamma_norm + two_qhat_norm + resid_norm)
     return MembershipReport(
         gamma_norm=gamma_norm,
         two_qhat_norm=two_qhat_norm,
         resid_plain_norm=resid_norm,
         ratio=(gamma_norm / two_qhat_norm if two_qhat_norm > 0 else math.inf),
-        triangle_ok=bool(diff <= resid_norm),
+        triangle_ok=bool(diff <= resid_norm + allowance),
         triangle_slack=resid_norm - diff,
     )
 
@@ -357,6 +363,7 @@ class SummabilityReport:
 def verify_marchenko_ostrovskii(
     q: Potential, s: int, report: GapReport, n_range: tuple[int, int]
 ) -> SummabilityReport:
+    """Running sums over m in ``n_range`` of the h^s summands of gamma(1..m), and of mean^2 plus twice c(1..m)'s."""
     if s < 0 or int(s) != s:
         raise InputError("summability order s must be a nonnegative integer")
     s = int(s)
@@ -364,29 +371,23 @@ def verify_marchenko_ostrovskii(
     if not 1 <= lo <= hi <= report.n_max:
         raise InputError(f"n_range {n_range} outside the report range 1..{report.n_max}")
     # float ** raises where numpy would return inf: an overflowing weight is
-    # the order's fault, an overflowing norm of a valid potential is float64's
+    # the order's fault, an overflowing sum of a valid potential is float64's
     try:
-        weights = [(1.0 + 2.0 * m) ** (2 * s) for m in range(1, report.n_max + 1)]
+        (1.0 + 2.0 * report.n_max) ** (2 * s)
     except OverflowError as exc:
         raise InputError(
             f"summability order s={s} overflows the weight (1+2m)^(2s) for m <= {report.n_max}"
         ) from exc
-    ns = np.arange(1, report.n_max + 1)
-    gap_terms = (1.0 + 2.0 * ns) ** (2 * s) * report.gamma**2
-    gap_csum = np.cumsum(gap_terms)
-    overflow = f"order-{s} coefficient norm overflows float64 for this potential"
-    coeff = []
-    try:
-        acc = q.mean**2  # k = 0 term, weight 1
-        for m, wm in enumerate(weights, start=1):
-            v = q.coefficient(m)
-            acc += 2.0 * wm * (v.real**2 + v.imag**2)
-            coeff.append(acc)
-    except OverflowError as exc:
-        raise NumericalError(overflow) from exc
-    if not math.isfinite(acc):
-        raise NumericalError(overflow)
-    coeff_csum = np.array(coeff)
+    w = power_weight(s)
+    ks = np.arange(report.n_max + 1)
+    coeff_terms = _weighted_squares(ks, np.array([q.coefficient(int(k)) for k in ks]), w)
+    with np.errstate(over="ignore"):
+        coeff_terms[1:] *= 2.0
+        coeff_csum = np.cumsum(coeff_terms)[1:]
+        gap_csum = np.cumsum(_weighted_squares(report.n, report.gamma, w))
+    for name, csum in (("coefficient norm", coeff_csum), ("gap sum", gap_csum)):
+        if not math.isfinite(csum[-1]):
+            raise NumericalError(f"order-{s} {name} overflows float64 for this potential")
     return SummabilityReport(
         s=s, m=np.arange(lo, hi + 1), gap_partial=gap_csum[lo - 1 : hi], coeff_partial=coeff_csum[lo - 1 : hi]
     )

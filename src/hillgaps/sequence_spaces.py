@@ -28,28 +28,10 @@ SANDWICH_SLOPE_TOL = 0.1
 _OR_TMAX = 1e6
 
 
-def _iterated_log_floor(exponents: tuple[float, ...]) -> int:
-    """Smallest k >= 1 where every iterated-log factor of (1+k) is positive."""
-
-    def positive(k: int) -> bool:
-        v = 1.0 + k
-        for _ in exponents:
-            v = math.log(v)
-            if v <= 0.0:
-                return False
-        return True
-
-    # positivity only switches on as k grows, so bisect for the first k
-    lo, hi = 1, 10**6 - 1
-    if not positive(hi):
-        raise InputError("log_power weight needs an impractically large positive range")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+# Smallest k >= 1 at which every iterated-log factor of (1 + k) is positive,
+# by the number of exponents: 1 + k must exceed 1, e and e^e in turn.  Four
+# or more would need 1 + k > e^e^e = 3.8e6 and are refused.
+_ITERATED_LOG_FLOOR = (1, 1, 2, 15)
 
 
 @dataclass(frozen=True)
@@ -212,7 +194,9 @@ def make_weight(spec) -> Weight:
     exps = tuple(as_float(r, "log_power exponent") for r in raw)
     if any(not math.isfinite(r) for r in exps):
         raise InputError("log_power exponents must be finite")
-    return Weight(kind="log_power", s=s, exponents=exps, clamp_from=_iterated_log_floor(exps))
+    if len(exps) >= len(_ITERATED_LOG_FLOOR):
+        raise InputError("log_power weight needs an impractically large positive range")
+    return Weight(kind="log_power", s=s, exponents=exps, clamp_from=_ITERATED_LOG_FLOOR[len(exps)])
 
 
 def power_weight(s: float) -> Weight:
@@ -291,6 +275,16 @@ def _norms(v: np.ndarray, w: Weight) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _weighted_squares(k: np.ndarray, v: np.ndarray, w: Weight) -> np.ndarray:
+    """The h^w summands w(k_i)^2 (re(v_i)^2 + im(v_i)^2), an exact +0 where v_i = 0, over any batch axes of ``v``.
+
+    Every weighted norm, tail and summability column is a running sum of these.
+    """
+    wk = w(k)
+    return np.where(v != 0, (wk * wk) * (v.real * v.real + v.imag * v.imag), 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def weighted_norm_at(k: np.ndarray, v: np.ndarray, w: Weight) -> np.ndarray:
     """(sum_i w(k_i)^2 |v_i|^2)^(1/2) for integer indices ``k``, summed in their order.
 
@@ -301,9 +295,7 @@ def weighted_norm_at(k: np.ndarray, v: np.ndarray, w: Weight) -> np.ndarray:
     """
     if k.size == 0:
         return np.zeros(v.shape[:-1])
-    wk = w(k)
-    terms = np.where(v != 0, (wk * wk) * (v.real * v.real + v.imag * v.imag), 0.0)
-    return np.sqrt(np.cumsum(terms, axis=-1)[..., -1])
+    return np.sqrt(np.cumsum(_weighted_squares(k, v, w), axis=-1)[..., -1])
 
 
 def _ordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,6 +103,8 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
         ("verify", {"coeffs": [{"k": 1, "re": 0.1}]}, ["--mo-s", "400"], 2, "summability order s=400"),
         # outside the summability range, the h^1 norms of the consistency check overflow
         ("verify", {"coeffs": [{"k": 2, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
+        # 3^644 is finite and so is the coefficient column, but 3^644 gamma(1)^2 is not
+        ("verify", {"coeffs": [{"k": 1, "re": 1.6}]}, ["--mo-s", "322"], 3, "order-322 gap sum overflows"),
     ],
     ids=[
         "spectrum-matrix",
@@ -111,13 +113,37 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
         "verify-summability-sum",
         "verify-mo-s",
         "verify-norm-consistency",
+        "verify-summability-gaps",
     ],
 )
 def test_overflow_exit_codes(files, capsys, command, doc, extra, code, message):
     big = files["dir"] / "big.json"
     big.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([command, "--potential", str(big), "--nmax", "1", *extra]) == code
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--potential", str(big), "--nmax", "1", *extra]) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert message in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # the slacks were -8.9e-16 and -3.5e-18: rounding of the three norms, not a failure
+        {"coeffs": [{"k": 1, "re": 1.6}]},
+        {"coeffs": [{"k": 1, "re": 0.010883429350935921}]},
+    ],
+    ids=["re-1.6", "re-0.0109"],
+)
+def test_triangle_check_within_rounding_exits_0(files, capsys, doc):
+    pot = files["dir"] / "q.json"
+    pot.write_text(json.dumps(doc), encoding="utf-8")
+    out = files["dir"] / "v.json"
+    assert main(["verify", "--potential", str(pot), "--nmax", "1", "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["checks"]
+    (tri,) = [c for c in block if c["name"] == "membership_triangle_inequality"]
+    assert tri["passed"] and tri["blocks"][0]["triangle_slack"] < 0
 
 
 @pytest.mark.parametrize(

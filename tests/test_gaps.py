@@ -8,6 +8,7 @@ from conftest import bits, loop_rho
 
 from hillgaps import (
     BandEdges,
+    GapReport,
     InputError,
     band_edges_discriminant,
     band_edges_galerkin,
@@ -365,11 +366,12 @@ def test_membership_ratio_band_power_decay():
 
 
 def test_membership_norms_match_per_m_sums():
-    # reference: each norm summed afresh from n_lo, in n order
+    # reference: each norm summed afresh from n_lo, in n order, of w(n)^2 v(n)^2 as conftest.loop_norm forms it
     def partial(vals, w, lo, m):
         acc = 0.0
         for n in range(lo, m + 1):
-            acc += (float(w(n)) * vals[n - 1]) ** 2
+            wn = float(w(n))
+            acc += (wn * wn) * (vals[n - 1] * vals[n - 1])
         return math.sqrt(acc)
 
     q = power_decay(2.0, 32)
@@ -379,6 +381,30 @@ def test_membership_norms_match_per_m_sums():
     assert m.gamma_norm == partial(rep.gamma, w, 8, 28)
     assert m.two_qhat_norm == partial(rep.two_qhat, w, 8, 28)
     assert m.resid_plain_norm == partial(rep.resid_plain, w, 8, 28)
+
+
+def _parallel_report(shrink: float) -> GapReport:
+    # gamma = 2 two_qhat, so |N(gamma) - N(two_qhat)| = N(gamma - two_qhat): the triangle inequality is an equality
+    two_qhat = np.array([0.3, 0.02, 1.7, 0.0, 5e-3, 0.11])
+    gamma = 2.0 * two_qhat
+    ns = np.arange(1, gamma.size + 1)
+    return GapReport(
+        n=ns, gamma=gamma, two_qhat=two_qhat, rho=np.zeros(ns.size, dtype=complex),
+        resid_plain=(gamma - two_qhat) * (1.0 - shrink), resid_corrected=gamma - two_qhat,
+        clamped=np.zeros(ns.size, dtype=bool), method="galerkin",
+    )
+
+
+@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=str)
+def test_membership_triangle_allows_rounding_only(w):
+    # at equality the check passes within its rounding allowance; a residual
+    # norm 1e-9 short, far beyond the allowance, still fails
+    exact = verify_membership_consistency(ZERO, w, _parallel_report(0.0), (1, 6))
+    assert exact.triangle_ok
+    assert abs(exact.triangle_slack) <= 1e-15 * exact.gamma_norm
+    short = verify_membership_consistency(ZERO, w, _parallel_report(1e-9), (1, 6))
+    assert not short.triangle_ok
+    assert short.triangle_slack < 0
 
 
 def test_marchenko_ostrovskii_zero():

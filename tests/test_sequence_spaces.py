@@ -106,6 +106,26 @@ def test_log_power_positive_despite_small_k():
     assert w(0) == 1.0
 
 
+def test_iterated_log_floor_per_depth():
+    # 1 + k must exceed 1, e and e^e for one, two and three iterated logs
+    for exps, floor in (((), 1), ((1.0,), 1), ((1.0, 1.0), 2), ((1.0, 1.0, 1.0), 15)):
+        assert log_power_weight(1.0, exps).clamp_from == floor
+
+        def positive(k):
+            v = 1.0 + k
+            for _ in exps:
+                v = math.log(v)
+                if v <= 0.0:
+                    return False
+            return True
+
+        assert positive(floor)
+        if exps:
+            assert not positive(floor - 1)
+    with pytest.raises(InputError, match="impractically large"):
+        log_power_weight(1.0, [1.0] * 4)
+
+
 def test_weight_extension_invariants_all_kinds():
     weights = [
         power_weight(1.5),

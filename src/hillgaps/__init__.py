@@ -19,6 +19,7 @@ from .gaps import (
     gaps,
     residuals,
     rho,
+    rho_routes_allowance,
     rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,

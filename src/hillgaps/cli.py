@@ -24,6 +24,7 @@ from .gaps import (
     default_fit_start,
     residuals,
     rho,
+    rho_routes_allowance,
     rho_via_convolution,
     verify_marchenko_ostrovskii,
     verify_membership_consistency,
@@ -32,14 +33,11 @@ from .gaps import (
 from .potential import Potential, hormander_norm, load_potential
 from .sequence_spaces import (
     ConvTrials,
-    TwoSidedSeq,
     check_or_class,
     check_sandwich,
     conv_lemma_report,
-    convolve,
     make_weight,
     power_weight,
-    weighted_norm,
 )
 from .spectrum import (
     BandEdges,
@@ -186,54 +184,32 @@ def cmd_gaps(args) -> int:
 
 
 def _verify_battery(q: Potential, weights, args) -> tuple[list[tuple[str, bool, dict]], dict]:
-    """Run the asserted invariants and the report-only blocks; returns the checks and the document."""
+    """Run the two asserted checks and the report-only blocks; returns the checks and the document.
+
+    Each asserted check reads q and can fail on it (see ``rho_routes_allowance`` and
+    ``verify_membership_consistency``); ``--seed`` seeds only the bounded-regime report.
+    """
     # first, so a truncation past its bound exits 2 before any sequence is built
     edges = _edges_for(q, args, args.method)
+    # a finite h^1 norm keeps every product and sum of the rho routes finite
+    norm = hormander_norm(q, power_weight(1.0))
+    if not math.isfinite(norm):
+        raise NumericalError(f"coefficient norm overflows: h^1 norm {norm!r}")
     checks = []
-
-    # weight extension: value 1 at the origin, symmetric, positive
-    ext_ok = True
-    k_checked = 2000
-    for w in weights:
-        kmax = int(min(2000, w.max_index))
-        k_checked = min(k_checked, kmax)
-        vals = np.asarray(w(np.arange(0, kmax + 1)))
-        neg = np.asarray(w(-np.arange(0, kmax + 1)))
-        ext_ok = ext_ok and vals[0] == 1.0 and np.all(vals > 0) and np.array_equal(vals, neg)
-    checks.append(("weight_extension", ext_ok, serialize.extension_detail(k_checked)))
-
-    # convolution identity and commutativity on a small deterministic pair
-    rng = np.random.default_rng(args.seed)
-    a, b = (TwoSidedSeq(rng.standard_normal(m) + 1j * rng.standard_normal(m)) for m in (13, 9))
-    ident = np.array_equal(convolve(TwoSidedSeq.delta(0), a).coef, a.coef)
-    comm = np.array_equal(convolve(a, b).coef, convolve(b, a).coef)
-    checks.append(("convolution_identity_commutativity", ident and comm, {}))
 
     # two-route equality of the correction
     q0 = q.without_mean()
     kmax_rho = max(1, min(2 * q.cutoff + 2, args.nmax))
-    direct = rho(q0, np.arange(1, kmax_rho + 1))
-    worst = max([0.0] + [float(abs(d)) for d in direct - rho_via_convolution(q0, kmax_rho)])
-    checks.append(("rho_two_route_equality", worst <= 1e-14, serialize.rho_routes_detail(worst)))
-
-    # coefficient-norm consistency
-    norms = (hormander_norm(q, power_weight(1.0)), weighted_norm(q.two_sided(), power_weight(1.0)))
-    if not all(math.isfinite(x) for x in norms):
-        raise NumericalError(f"coefficient norm overflows: h^1 norms {norms[0]!r} and {norms[1]!r}")
-    diff = abs(norms[0] - norms[1])
-    checks.append(("coefficient_norm_consistency", diff == 0.0, serialize.norm_consistency_detail(diff)))
+    diff = np.abs(rho(q0, np.arange(1, kmax_rho + 1)) - rho_via_convolution(q0, kmax_rho))
+    rho_ok = bool(np.all(diff <= rho_routes_allowance(q0, kmax_rho)))
+    checks.append(("rho_two_route_equality", rho_ok, serialize.rho_routes_detail(max([0.0] + diff.tolist()))))
 
     # spectrum, residuals, triangle inequality
     report = residuals(q, edges)
     n_range = _parse_range(args.range) if args.range else (1, args.nmax)
-    membership = [(w.describe(), verify_membership_consistency(q, w, report, n_range)) for w in weights]
+    membership = [(w.describe(), verify_membership_consistency(w, report, n_range)) for w in weights]
     tri_ok = all(m.triangle_ok for _, m in membership)
     checks.append(("membership_triangle_inequality", tri_ok, serialize.membership_detail(membership)))
-
-    # convolution boundedness: failure-regime witness must grow
-    fail_rep = conv_lemma_report(0.0, 0.0, 0.0, ConvTrials(sizes=(8, 16, 32), seed=args.seed))
-    witness_ok = fail_rep.regime == "fails to hold" and fail_rep.growth_factor >= 1.5
-    checks.append(("conv_failure_witness_growth", witness_ok, serialize.witness_detail(fail_rep)))
 
     # report-only blocks
     bounded_rep = conv_lemma_report(1.0, 1.0, 1.0, ConvTrials(sizes=(8, 16), pairs_per_size=20, seed=args.seed))

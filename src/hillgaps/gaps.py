@@ -4,9 +4,9 @@ The leading term of the n-th gap length is twice the modulus of the n-th
 Fourier coefficient; the correction rho(n) sharpens it.  Everything here
 is an exact finite sum over the potential's support, so the two summation
 routes for rho (direct, and convolution of the divided coefficients) can
-be compared at full precision.  Infinite-dimensional membership claims
-are never asserted: they are rendered as exact finite-sum inequalities
-plus plateau and slope reports.
+be compared within a derived rounding allowance.  Infinite-dimensional
+membership claims are never asserted: they are rendered as exact
+finite-sum inequalities plus plateau and slope reports.
 """
 
 from __future__ import annotations
@@ -165,6 +165,36 @@ def _over(z: np.ndarray, d) -> np.ndarray:
     return out
 
 
+def rho_routes_allowance(q: Potential, n_max: int) -> np.ndarray:
+    """Rounding allowance for |rho(q, n) - rho_via_convolution(q, n_max)[n - 1]|, n = 1..n_max.
+
+    Both routes sum the terms t(a) = c(a) c(n-a) / (a (n-a)) of the same
+    coefficients, at most m nonzero for the m nonzero c(k), and divide by
+    the same float 4 pi^2.  With u = eps/2, per part and to first order,
+    each term is within 4u |t(a)| in either route: the direct route rounds
+    the complex product (within 2u |c(a) c(n-a)|), a (n-a) and the
+    quotient; the convolution route rounds each c(k)/k (moving the product
+    by 2u |t(a)|) and then the product.  Each running sum adds
+    (m - 1) u sum_a |t(a)| and the last division u times the result.  So
+    the difference is within sqrt(2) (m + 4) eps S(n), where S(n) is
+    sum_a |t(a)| / (4 pi^2).  A rounding into the subnormal range errs by
+    up to eta/2 instead (eta the smallest subnormal), and a rounded c(k)/k
+    carries that through its partner's modulus: at most
+    sqrt(2) (m + ||c(k)/k||_1 + 1) eta more.  The allowance is twice both
+    bounds.  q must have mean zero and a finite h^1 norm, which keeps
+    every product and sum finite.
+    """
+    k = np.abs(np.arange(-q.cutoff, q.cutoff + 1))
+    k[q.cutoff] = 1  # c(0) = 0
+    modulus = np.abs(q.two_sided().coef)
+    divided = modulus / k
+    s = np.convolve(divided, divided)[2 * q.cutoff + 1 :][:n_max] / (4.0 * math.pi * math.pi)
+    s = np.pad(s, (0, n_max - s.size))
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    m = np.count_nonzero(modulus)
+    return 2.0 * math.sqrt(2.0) * ((m + 4) * eps * s + (m + divided.sum() + 1) * eta)
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Per-index gap data: lengths, leading terms, corrections, residuals.
@@ -306,9 +336,7 @@ class MembershipReport:
     triangle_slack: float  # resid_norm - |gamma_norm - two_qhat_norm|
 
 
-def verify_membership_consistency(
-    q: Potential, w: Weight, report: GapReport, n_range: tuple[int, int]
-) -> MembershipReport:
+def verify_membership_consistency(w: Weight, report: GapReport, n_range: tuple[int, int]) -> MembershipReport:
     """Compare weighted partial norms of gap lengths and coefficient moduli, from one batched running sum.
 
     The triangle check allows for rounding.  With a = gamma, b = two_qhat,

@@ -171,16 +171,8 @@ def gaps_to_doc(report: GapReport, summary: dict, tails: dict[str, TailTable]) -
 
 
 # detail blocks of the verify checks, which are (name, passed, detail) triples
-def extension_detail(k_checked: int) -> dict:
-    return {"k_checked": k_checked}
-
-
 def rho_routes_detail(max_abs_diff: float) -> dict:
     return {"max_abs_diff": max_abs_diff}
-
-
-def norm_consistency_detail(abs_diff: float) -> dict:
-    return {"abs_diff": abs_diff}
 
 
 def membership_detail(blocks: list[tuple[str, MembershipReport]]) -> dict:
@@ -195,10 +187,6 @@ def membership_detail(blocks: list[tuple[str, MembershipReport]]) -> dict:
             for name, m in blocks
         ]
     }
-
-
-def witness_detail(report: ConvLemmaReport) -> dict:
-    return _fields(report, ("regime", "growth_factor"))
 
 
 def _sandwich_to_doc(name: str, s: float, k_max: int, r: SandwichReport | None) -> dict:

@@ -225,7 +225,7 @@ def test_criterion_10_triangle_inequality_everywhere(mathieu01_report, mathieu05
         nm = rep.n_max
         for w in weights:
             for rng in ((1, nm), (max(1, nm // 2), nm)):
-                m = verify_membership_consistency(q, w, rep, rng)
+                m = verify_membership_consistency(w, rep, rng)
                 ok = ok and m.triangle_ok
                 checked += 1
     assert verdict(10, ok, f"{checked} report/weight/range combinations, all exact")

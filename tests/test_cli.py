@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from hillgaps import potential_to_dict, mathieu, power_decay, from_fourier
 from hillgaps import NumericalError, serialize, spectrum
+from hillgaps import cli
 from hillgaps.cli import build_parser, main
 
 HUGE_K = {"coeffs": [{"k": 1000000000000, "re": 0.1}]}
@@ -101,7 +103,7 @@ def test_spectrum_non_finite_edges_exit_3(files, capsys):
         ("verify", {"coeffs": [{"k": 1, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
         # the order argument alone overflows the weight (1+2m)^(2s)
         ("verify", {"coeffs": [{"k": 1, "re": 0.1}]}, ["--mo-s", "400"], 2, "summability order s=400"),
-        # outside the summability range, the h^1 norms of the consistency check overflow
+        # outside the summability range, the h^1 norm of verify's overflow guard overflows
         ("verify", {"coeffs": [{"k": 2, "re": 1e154}]}, [], 3, "coefficient norm overflows"),
         # 3^644 is finite and so is the coefficient column, but 3^644 gamma(1)^2 is not
         ("verify", {"coeffs": [{"k": 1, "re": 1.6}]}, ["--mo-s", "322"], 3, "order-322 gap sum overflows"),
@@ -238,9 +240,54 @@ def test_verify_all_pass(files, capsys):
     assert doc["all_passed"]
     names = {c["name"] for c in doc["checks"]}
     assert "membership_triangle_inequality" in names
-    assert "conv_failure_witness_growth" in names
     text = capsys.readouterr().err
     assert "PASS" in text and "FAIL" not in text
+
+
+def test_verify_strong_potential_rho_routes_exit_0(files, capsys):
+    # the two routes to rho differ by 2.8e-14 here, rounding well inside their allowance
+    pot = files["dir"] / "strong.json"
+    doc = {"coeffs": [{"k": 1, "re": 300, "im": 100}, {"k": 2, "re": 200}, {"k": 3, "re": 50, "im": -70}]}
+    pot.write_text(json.dumps(doc), encoding="utf-8")
+    out = files["dir"] / "v.json"
+    assert main(["verify", "--potential", str(pot), "--nmax", "8", "--out", str(out)]) == 0
+    (check,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "rho_two_route_equality"]
+    assert check["passed"] and check["max_abs_diff"] > 1e-14
+
+
+def _perturbed_rho(original):
+    def patched(q, n_max):
+        out = original(q, n_max)
+        out[1] *= 1.0 + 1e-12
+        return out
+
+    return patched
+
+
+def _zero_residuals(original):
+    def patched(q, edges):
+        report = original(q, edges)
+        return dataclasses.replace(report, resid_plain=np.zeros_like(report.resid_plain))
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "binding, patch, check",
+    [
+        ("rho_via_convolution", _perturbed_rho, "rho_two_route_equality"),
+        ("residuals", _zero_residuals, "membership_triangle_inequality"),
+    ],
+    ids=["rho-routes", "triangle"],
+)
+def test_verify_failed_check_exits_1(files, capsys, monkeypatch, binding, patch, check):
+    monkeypatch.setattr(cli, binding, patch(getattr(cli, binding)))
+    out = files["dir"] / "v.json"
+    assert main(["verify", "--potential", files["mathieu05"], "--nmax", "4", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [check]
+    assert f"FAIL  {check}" in capsys.readouterr().err
 
 
 def test_verify_stdout_is_the_json_document(files, capsys):
@@ -260,18 +307,6 @@ def test_verify_short_table_weight(files):
     doc = json.loads(out.read_text())
     assert doc["all_passed"]
     assert doc["reports"]["sandwich"][0]["weight"] == "table(len=8)"
-
-
-def test_verify_weight_extension_reports_checked_range(files):
-    # the extension is checked up to each weight's own range; the report gives the smallest
-    wt = files["dir"] / "wt8.json"
-    wt.write_text(json.dumps({"kind": "table", "values": [1, 2, 3, 4, 5, 6, 7, 8]}), encoding="utf-8")
-    out = files["dir"] / "vt8.json"
-    rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "3", "--weight", files["w1"],
-               "--weight", str(wt), "--out", str(out)])
-    assert rc == 0
-    (ext,) = [c for c in json.loads(out.read_text())["checks"] if c["name"] == "weight_extension"]
-    assert ext["passed"] and ext["k_checked"] == 8
 
 
 def test_verify_length_one_table_weight(files):
@@ -393,17 +428,6 @@ def test_malformed_values_exit_2(files, capsys, kind, doc):
     argv = ["gaps", "--potential", pot, "--nmax", "2"] + (["--weight", str(bad)] if kind == "weight" else [])
     assert main(argv) == 2
     assert "input error" in capsys.readouterr().err
-
-
-def test_verify_conv_block_reports_failure_regime(files):
-    out = files["dir"] / "v2.json"
-    rc = main(["verify", "--potential", files["mathieu01"], "--nmax", "5", "--weight", files["w1"],
-               "--out", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    block = next(c for c in doc["checks"] if c["name"] == "conv_failure_witness_growth")
-    assert block["regime"] == "fails to hold"
-    assert block["growth_factor"] >= 1.5
 
 
 def test_verify_or_class_block(files):

@@ -23,6 +23,7 @@ from hillgaps import (
     random_hs,
     residuals,
     rho,
+    rho_routes_allowance,
     rho_via_convolution,
     two_harmonic,
     verify_marchenko_ostrovskii,
@@ -181,6 +182,28 @@ def test_rho_two_routes_agree():
         conv = rho_via_convolution(q, 2 * q.cutoff + 2)
         for n in range(1, 2 * q.cutoff + 3):
             assert abs(rho(q, n) - conv[n - 1]) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # the routes differ by 2.8e-14, over the absolute 1e-14 the verify check once used
+        [(1, 300 + 100j), (2, 200), (3, 50 - 70j)],
+        # a rounded subnormal c(k)/k, times the 1e10 partner, moves the convolution route
+        [(1, 1e-310), (3, 1e-310), (5, 1e10)],
+        list(random_hs(1.0, 12, 5).coeffs),
+    ],
+    ids=["strong", "subnormal", "random"],
+)
+def test_rho_routes_allowance_covers_rounding_only(coeffs):
+    # the routes agree within the allowance, and a 1e-12 relative change of the largest value is far outside it
+    q = from_fourier(0.0, coeffs)
+    n = 2 * q.cutoff + 2
+    direct = rho(q, np.arange(1, n + 1))
+    allowance = rho_routes_allowance(q, n)
+    assert np.all(np.abs(direct - rho_via_convolution(q, n)) <= allowance)
+    i = int(np.argmax(np.abs(direct)))
+    assert 1e-12 * abs(direct[i]) > allowance[i]
 
 
 def test_rho_matches_second_order_gap_scaling():
@@ -343,7 +366,7 @@ def test_default_fit_start():
 
 def test_membership_zero_potential():
     rep = residuals(ZERO, band_edges_galerkin(ZERO, 8))
-    m = verify_membership_consistency(ZERO, power_weight(1.0), rep, (1, 8))
+    m = verify_membership_consistency(power_weight(1.0), rep, (1, 8))
     assert m.gamma_norm == 0.0
     assert m.two_qhat_norm == 0.0
     assert m.triangle_ok
@@ -352,7 +375,7 @@ def test_membership_zero_potential():
 def test_membership_triangle_exact_mathieu():
     q = mathieu(0.1)
     rep = residuals(q, band_edges_galerkin(q, 10))
-    m = verify_membership_consistency(q, power_weight(1.0), rep, (1, 10))
+    m = verify_membership_consistency(power_weight(1.0), rep, (1, 10))
     assert m.triangle_ok
     assert abs(m.gamma_norm - m.two_qhat_norm) <= m.resid_plain_norm
 
@@ -360,7 +383,7 @@ def test_membership_triangle_exact_mathieu():
 def test_membership_ratio_band_power_decay():
     q = power_decay(2.0, 32)
     rep = residuals(q, band_edges_galerkin(q, 28))
-    m = verify_membership_consistency(q, example_2_4_weight(1.0), rep, (8, 28))
+    m = verify_membership_consistency(example_2_4_weight(1.0), rep, (8, 28))
     assert m.triangle_ok
     assert 1.0 <= m.ratio <= 3.0
 
@@ -377,7 +400,7 @@ def test_membership_norms_match_per_m_sums():
     q = power_decay(2.0, 32)
     rep = residuals(q, band_edges_galerkin(q, 28))
     w = example_2_4_weight(1.0)
-    m = verify_membership_consistency(q, w, rep, (8, 28))
+    m = verify_membership_consistency(w, rep, (8, 28))
     assert m.gamma_norm == partial(rep.gamma, w, 8, 28)
     assert m.two_qhat_norm == partial(rep.two_qhat, w, 8, 28)
     assert m.resid_plain_norm == partial(rep.resid_plain, w, 8, 28)
@@ -399,10 +422,10 @@ def _parallel_report(shrink: float) -> GapReport:
 def test_membership_triangle_allows_rounding_only(w):
     # at equality the check passes within its rounding allowance; a residual
     # norm 1e-9 short, far beyond the allowance, still fails
-    exact = verify_membership_consistency(ZERO, w, _parallel_report(0.0), (1, 6))
+    exact = verify_membership_consistency(w, _parallel_report(0.0), (1, 6))
     assert exact.triangle_ok
     assert abs(exact.triangle_slack) <= 1e-15 * exact.gamma_norm
-    short = verify_membership_consistency(ZERO, w, _parallel_report(1e-9), (1, 6))
+    short = verify_membership_consistency(w, _parallel_report(1e-9), (1, 6))
     assert not short.triangle_ok
     assert short.triangle_slack < 0
 

@@ -391,6 +391,14 @@ def _combine(left: np.ndarray, right: np.ndarray, out: np.ndarray, tmp: np.ndarr
     np.add(out[2], t, out=out[2])
 
 
+def _combine_angles(left: np.ndarray, out: np.ndarray, th_left: np.ndarray, th_right: np.ndarray) -> np.ndarray:
+    """Lifted angle of (I + out) e2 from those of (I + left) e2 and (I + right) e2 (see :class:`_Propagator`)."""
+    a, b, u, v = left[1], 1.0 + left[3], out[1], 1.0 + out[3]
+    phi = np.arctan2(b * u - a * v, a * u + b * v)
+    centre = np.pi * (np.floor(th_right / np.pi) + 0.5)
+    return th_left + phi + 2.0 * np.pi * np.round((centre - phi) / (2.0 * np.pi))
+
+
 class _WitnessError(IntegrationError):
     """The Wronskian witness failed: a solve at more steps may pass."""
 
@@ -432,6 +440,16 @@ class _Propagator:
     part would break the reflection, and an odd step count has a middle
     step, so either sweeps the full period.
 
+    With ``count`` a sweep carries next to E the lifted Pruefer angle
+    atan2(u, u') of (u, u') = (I + E) e2, which crosses each multiple of pi
+    upward at a zero of u (Magnus and Winkler, ch. 2; Johnson and Moser,
+    Comm. Math. Phys. 84, 1982).  A step of half angle x turns e2 by [pi j,
+    pi (j + 1)), j = floor(2 x / pi) (0 if it grows).  A later G keeps
+    orientation, so G F e2 turns from G e2 within F e2's half turn.  Each
+    turn is its angle taken nearest the centre of its half turn.  N =
+    floor(angle / pi) zeros of u lie in (0, 1]; folded, the Dirichlet
+    eigenfunctions are odd or even about 1/2, so N = floor(2 angle / pi) of A.
+
     The rounding of E21 grows like eps w and that of E12 like eps / w, with
     w = sqrt(1 + |lambda|) the free frequency, so D's rounding bound is
     taken in the balanced basis diag(sqrt w, 1 / sqrt w), which leaves D
@@ -471,7 +489,7 @@ class _Propagator:
         # then every sweep page-faults them in again
         self._space = np.empty(0)
 
-    def _sweep(self, lams: np.ndarray):
+    def _sweep(self, lams: np.ndarray, count: bool = False):
         nl = lams.size
         block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
         half = max(1, block // 2)
@@ -487,7 +505,7 @@ class _Propagator:
         h = 1.0 / self.steps
         fold = self.even and self.steps % 2 == 0
         swept = self.steps // 2 if fold else self.steps
-        stack: list = []  # finished runs (length, E) in step order; lengths strictly decrease
+        stack: list = []  # finished runs (length, (E, angle)) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
 
         def take():
@@ -495,9 +513,9 @@ class _Propagator:
 
         def merge(later, earlier):
             out = take()
-            _combine(later, earlier, out, tmp[:, 0])
-            free.extend((later, earlier))
-            return out
+            _combine(later[0], earlier[0], out, tmp[:, 0])
+            free.extend((later[0], earlier[0]))
+            return out, count and _combine_angles(later[0], out, later[1], earlier[1])
 
         i0 = 0
         while i0 < swept:
@@ -507,22 +525,30 @@ class _Propagator:
             at = i0 + _bit_reversed(n)
             e = bufs[0]
             _step_deviations(self.qa[at], self.qb[at], h, lams, self.lam_osc, e[:, :n], work[:, :n])
+            if count:  # each step's angle, taken nearest the centre of [pi j, pi (j + 1)) (see above)
+                hq, d = _step_terms(self.qa[at], self.qb[at], h)
+                th = np.arctan2(e[1, :n], 1.0 + e[3, :n])
+                if (h * h) * lams.max() >= np.min(d * d + h * hq) + np.pi**2:  # some step turns past pi
+                    j = np.floor(np.sqrt(np.maximum((h * h) * lams - (d * d + h * hq)[:, None], 0.0)) / np.pi)
+                    th += 2.0 * np.pi * np.round((np.pi * (j + 0.5) - th) / (2.0 * np.pi))
             i0 += n
             length, side = n, 0
             while n > 1:  # in bit-reversed order, each level pairs the two contiguous halves
                 n //= 2
                 side = 1 - side
                 _combine(e[:, n : 2 * n], e[:, :n], bufs[side][:, :n], tmp[:, :n])
+                if count:
+                    th = _combine_angles(e[:, n : 2 * n], bufs[side][:, :n], th[n : 2 * n], th[:n])
                 e = bufs[side]
-            run = take()
-            run[...] = e[:, 0]
+            run = (take(), count and th[0])
+            run[0][...] = e[:, 0]
             while stack and stack[-1][0] == length:
                 run, length = merge(run, stack.pop()[1]), 2 * length
             stack.append((length, run))
         run = stack.pop()[1]
         while stack:  # merge the binary decomposition, latest run first
             run = merge(run, stack.pop()[1])
-        e11, e12, e21, e22 = run
+        (e11, e12, e21, e22), angle = run
         wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
         if fold:  # run is the half period A = I + E; M = R A^-1 R A with R = diag(1, -1)
             b, c = e12, e21
@@ -535,19 +561,25 @@ class _Propagator:
         omega = np.sqrt(1.0 + np.abs(lams))
         scaled = np.abs(split) + 2.0 * (omega * np.abs(e12) + np.abs(e21) / omega)
         bound = _D_ROUNDING * (scaled * (1.0 + scaled) + _D_ROUNDING)
-        return delta, disc, bound, wronskian
+        turns = count and np.floor(angle / (0.5 * np.pi if fold else np.pi))  # the Dirichlet zero count
+        position = count and 2.0 * turns + np.where(disc < 0.0, 0.0, np.where(delta * (-1.0) ** turns > 0.0, -1.0, 1.0))
+        return delta, disc, bound, wronskian, position
 
     @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
-    def delta(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``."""
+    def delta(self, lams, count: bool = False) -> tuple[np.ndarray, ...]:
+        """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``.
+
+        With ``count`` also the spectral position P = 2 N + s from the Dirichlet zero count N, with s = 0 where
+        D < 0, else -1 where sign trace = (-1)^N and +1 where not: 2 m across band m, 2 n - 1 across gap n.
+        """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        delta, disc, bound, wronskian = self._sweep(lams)
+        delta, disc, bound, wronskian, position = self._sweep(lams, count)
         if not all(np.isfinite(v).all() for v in (delta, disc, wronskian)):
             raise IntegrationError(f"non-finite trace or Wronskian at steps={self.steps}: the solution overflows")
         drift = float(np.max(np.abs(wronskian - 1.0)))
         if drift > _WRONSKIAN_LIMIT:
             raise _WitnessError(f"Wronskian drift {drift:.3e} beyond {_WRONSKIAN_LIMIT:g} at steps={self.steps}")
-        return delta, disc, bound
+        return (delta, disc, bound, position) if count else (delta, disc, bound)
 
 
 def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = DiscriminantConfig()) -> float:
@@ -561,35 +593,46 @@ def discriminant(q: Potential, lam: float, cfg: DiscriminantConfig = Discriminan
     return float(_Propagator(q, cfg.steps).delta(lam)[0][0])
 
 
-def _band_probes(prop: _Propagator, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A point left of the spectrum, then one point strictly inside each band 0..n_max.
+def _bisect_position(prop: _Propagator, lo, hi, target) -> tuple[np.ndarray, ...]:
+    """Points of spectral position ``target`` between lo and hi, P(lo) < target < P(hi), with D, B and P there.
 
-    Returns the points with D = trace^2 - 4 and its rounding bound B at
-    each.  The first point and the free operator's band centres share one
-    sweep; a centre with |trace| >= 2 is searched for on finer grids of its
-    free band.  For lambda <= min q the trace is at least 2 cosh sqrt(min q
-    - lambda), and the first point lies at least 1 below min q, so D >= 4
-    sinh^2 1 ~ 5.5 there: no search is needed, and D <= 0 there is a
-    failed sweep.
+    One sweep per halving; a bracket stops at a point of its position, or once :func:`_root_tol` wide.
     """
-    x = np.concatenate(([-prop.q.l1_bound() - 1.0], (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2))
-    delta, d, b = prop.delta(x)
-    for n in np.flatnonzero(np.abs(delta[1:]) >= 2.0):
-        lo = (np.pi * n) ** 2
-        hi = (np.pi * (n + 1)) ** 2
-        count = 17
-        for _ in range(3):
-            xs = np.linspace(lo, hi, count + 2)[1:-1]
-            vs, ds, bs = prop.delta(xs)
-            i = int(np.argmin(np.abs(vs)))
-            if abs(vs[i]) < 2.0 - 1e-9:
-                x[n + 1], d[n + 1], b[n + 1] = xs[i], ds[i], bs[i]
-                break
-            count *= 3
-        else:
-            raise BracketError(f"no interior point found for band {n}")
+    lo, hi, target = (np.array(v, dtype=float) for v in (lo, hi, target))
+    x, d, b, p = (np.empty_like(lo) for _ in range(4))
+    live = np.arange(lo.size)
+    for _ in range(_MAX_REFINE):
+        if not live.size:
+            break
+        x[live] = mid = 0.5 * (lo[live] + hi[live])
+        _, d[live], b[live], p[live] = prop.delta(mid, count=True)
+        below = p[live] < target[live]
+        lo[live[below]], hi[live[~below]] = mid[below], mid[~below]
+        live = live[(p[live] != target[live]) & (hi[live] - lo[live] > _root_tol(mid, math.inf))]
+    return x, d, b, p
+
+
+def _band_probes(prop: _Propagator, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A point left of the spectrum, then one point inside each band 0..n_max, with D and its bound B at each.
+
+    The first point and the free band centres (pi (m + 1/2))^2 share one
+    sweep, which counts their spectral position P (see :meth:`_Propagator.delta`).
+    A centre whose P is not 2 m is replaced by bisection on P over [(pi m)^2
+    - L, (pi (m + 1))^2 + L], L = max |q| + 1, which holds band m by Sturm
+    comparison.  At or below min q - 1, D >= 4 sinh^2 1 ~ 5.5, as the trace
+    is at least 2 cosh sqrt(min q - lambda): D <= 0 there is a failed sweep.
+    """
+    reach = prop.q.l1_bound() + 1.0
+    m = np.arange(n_max + 1)
+    x = np.concatenate(([-reach], (np.pi * (m + 0.5)) ** 2))
+    _, d, b, p = prop.delta(x, count=True)
     if not d[0] > 0.0:
         raise BracketError(f"D = {d[0]!r} at lambda = {x[0]!r}, left of the spectrum, where it must be positive")
+    m = np.flatnonzero(p[1:] != 2 * m)
+    lo, hi = (np.pi * m) ** 2 - reach, (np.pi * (m + 1)) ** 2 + reach
+    x[m + 1], d[m + 1], b[m + 1], p[m + 1] = _bisect_position(prop, lo, hi, 2 * m)
+    for n in m[p[m + 1] != 2 * m]:
+        raise BracketError(f"no point of band {n} found by bisection, last at lambda = {float(x[n + 1])!r}")
     return x, d, b
 
 
@@ -607,20 +650,6 @@ def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float
         return x1, 0.0, d1
     c = min(max(0.5 * (x0 + x1) + s01 / (2.0 * k), x0), x2)
     return c, k, d1 + k * (c - x1) ** 2
-
-
-def _check_double_root(n: int, lam: float, d: float, b: float) -> None:
-    """Raise BracketError unless D's largest sample ``d`` on gap n + 1 could sit at a double root.
-
-    At a true double root D peaks at least -B, and samples spaced at most
-    4 sqrt(B / k) apart miss that peak by at most 4 B more, so a largest
-    sample below -8 B means both probes around the gap lie inside one band.
-    """
-    if d < -8.0 * b:
-        raise BracketError(
-            f"gap {n + 1}: D peaks at {float(d)!r} at lambda = {float(lam)!r}, far below its "
-            f"rounding bound {float(b)!r}: the band probes around it lie inside one band"
-        )
 
 
 def _root_tol(x, cap):
@@ -694,9 +723,9 @@ def band_edges_discriminant(
 
     The mean-free potential is solved and the mean added back to every
     edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
-    - mean).  Between neighbouring band probes, where D < 0, a 9-point scan
-    looks for the gap; its two ends are the probes, whose D and B come from
-    the probe sweep, and every sample is kept.  A gap is open as soon as
+    - mean).  Between neighbouring band probes (:func:`_band_probes`),
+    where D < 0, a 9-point scan looks for the gap; its two ends are the
+    probes, and every sample is kept.  A gap is open as soon as
     one of its samples has D above its rounding bound B.  Until then it
     jumps by the parabola D = P - k (lambda - c)^2 through its largest
     sample and that sample's two neighbours: the next samples are c and
@@ -705,9 +734,10 @@ def band_edges_discriminant(
     most 4 sqrt(B / k) apart with none above B, the gap is below the
     rounding bound of D and reported collapsed, with identical edges at c;
     a gap still pending after ``_MAX_JUMPS`` jumps collapses at its best
-    sample.  Either collapse raises BracketError instead when the largest
-    sample lies below -8 B: a double root peaks at least -B, so the probes
-    around such a gap sit inside one band.  A batched Chandrupatla
+    sample.  Before either collapse, a largest sample below -8 B, where a
+    double root peaks at least -B, shows a missed hump: bisection on the
+    spectral position between the gap's probes adds a sample of the gap,
+    once, and the rules above go on.  A batched Chandrupatla
     iteration (:func:`_refine_roots`) then refines lambda_0 and both edges
     of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
     |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
@@ -748,9 +778,10 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
     add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in range(n_max)})
     open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
+    bisected: set[int] = set()
     pending = list(range(n_max))
-    for jump in range(_MAX_JUMPS + 1):
-        jumps = {}
+    for jump in range(_MAX_JUMPS + 2):  # the last round judges the gaps bisected in the one before
+        jumps, missed = {}, []
         for n in pending:
             x, d, b = samples[n]
             if np.any(d > b):
@@ -760,22 +791,26 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
             i = min(max(best, 1), x.size - 2)
             c, k, peak = _parabola(x, d, i)
             spacing = 0.5 * float(x[i + 1] - x[i - 1])
-            if k > 0.0 and spacing <= 4.0 * math.sqrt(b[i] / k):
-                _check_double_root(n, x[best], d[best], b[best])
-                collapsed_at[n] = c
-                continue
-            if k > 0.0:
-                w = max(0.5 * math.sqrt(max(peak, 0.0) / k), 2.0 * math.sqrt(b[i] / k), spacing / 64.0)
+            if not (k > 0.0 and spacing <= 4.0 * math.sqrt(b[i] / k)):
+                if k > 0.0:
+                    w = max(0.5 * math.sqrt(max(peak, 0.0) / k), 2.0 * math.sqrt(b[i] / k), spacing / 64.0)
+                else:
+                    w = spacing / 4.0
+                w = min(w, 0.5 * spacing)
+                new = np.unique(np.clip([c - w, c, c + w], x[i - 1], x[i + 1]))
+                new = new[~np.isin(new, x)]
+                if jump < _MAX_JUMPS and new.size:
+                    jumps[n] = new
+                    continue
+                c = float(x[best])  # the best sample stands as the double root
+            # the final spacing misses a double root's peak, at least -B, by at most 4 B
+            if d[best] < -8.0 * b[best] and n not in bisected:
+                missed.append(n)
             else:
-                w = spacing / 4.0
-            w = min(w, 0.5 * spacing)
-            new = np.unique(np.clip([c - w, c, c + w], x[i - 1], x[i + 1]))
-            new = new[~np.isin(new, x)]
-            if jump == _MAX_JUMPS or new.size == 0:  # the best sample stands as the double root
-                _check_double_root(n, x[best], d[best], b[best])
-                collapsed_at[n] = float(x[best])
-                continue
-            jumps[n] = new
+                collapsed_at[n] = c
+        at = np.array(missed, dtype=int)  # position 2 n + 1 lies between the probes of bands n and n + 1
+        jumps.update(zip(missed, _bisect_position(prop, probes[at], probes[at + 1], 2 * at + 1)[0][:, None]))
+        bisected.update(missed)
         if not jumps:
             break
         add_samples(jumps)
@@ -786,7 +821,6 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
     ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))]
     caps = [math.inf]
     guesses = [math.nan]
-    slots = [(-1, 0)]
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
@@ -802,28 +836,19 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
             ends.append((float(x[j]), float(d[j]), float(x[j + 1]), float(d[j + 1])))
             caps.append(cap)
             guesses.append(c + (2 * side - 1) * half)
-            slots.append((n, side))
+    # every bracket changes sign: D > 0 left of the spectrum and D < 0 at the probes
     a, fa, b, fb = (np.array(col) for col in zip(*ends))
-    bad = np.flatnonzero(np.sign(fa) * np.sign(fb) > 0.0)
-    if bad.size:
-        i = int(bad[0])
-        raise BracketError(f"no sign change over [{a[i]!r}, {b[i]!r}] for edge slot {slots[i]}")
     roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
 
-    pairs: list[list[float]] = [[math.nan, math.nan] for _ in range(n_max)]
-    collapsed = [False] * n_max
-    for val, (n, side) in zip(roots[1:], slots[1:]):
-        pairs[n][side] = float(val)
-    for n, x in collapsed_at.items():
-        pairs[n] = [x, x]
-        collapsed[n] = True
-
+    pairs = {n: (x, x) for n, x in collapsed_at.items()}
+    for j, n in enumerate(sorted(open_gaps)):  # two roots per open gap, after lambda_0's
+        pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
     edges = BandEdges(
         lambda0=float(roots[0]) + mean,
-        pairs=tuple((lo + mean, hi + mean) for lo, hi in pairs),
+        pairs=tuple((pairs[n][0] + mean, pairs[n][1] + mean) for n in range(n_max)),
         method="discriminant",
         resolution=prop.steps,
-        collapsed=tuple(collapsed),
+        collapsed=tuple(n in collapsed_at for n in range(n_max)),
     )
     edges.validate()
     return edges

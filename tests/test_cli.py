@@ -401,16 +401,30 @@ def test_discriminant_step_count_bounds_exit_2(files, capsys, argv, doc, message
     assert message in err and "Traceback" not in err
 
 
-def test_spectrum_both_probes_in_one_band_exit_3(files, capsys):
-    # the band probes on both sides of gap 1 fall inside one band of this strong
-    # potential, where D peaks at -0.19 with a rounding bound of 4e-14: no collapse
+@pytest.mark.parametrize(
+    "coeffs, n_max",
+    [
+        ([{"k": 1, "re": 10}], 8),
+        ([{"k": 1, "re": 15}], 8),
+        ([{"k": 1, "re": 20}], 8),
+        ([{"k": 1, "re": 10}, {"k": 2, "re": 5}], 8),
+        ([{"k": 3, "re": 40, "im": 7}], 12),
+    ],
+    ids=["mathieu-10", "mathieu-15", "mathieu-20", "two-harmonic", "period-third"],
+)
+def test_spectrum_both_strong_potentials_exit_0(files, capsys, coeffs, n_max):
+    # the free band centres miss band 0 of each potential, band 2 at c = 20,
+    # and bands 4 and 6 of the period-1/3 one: the probes come from bisection
+    # on the spectral position.  Gaps 1, 2, 4, 5, ... of the period-1/3
+    # potential are closed, and the scan misses gap 1's hump, which bisection
+    # between its probes finds
     pot = files["dir"] / "strong.json"
-    pot.write_text(json.dumps({"mean": 0, "coeffs": [{"k": 3, "re": 40, "im": 7}]}), encoding="utf-8")
+    pot.write_text(json.dumps({"mean": 0, "coeffs": coeffs}), encoding="utf-8")
     out = files["dir"] / "edges.csv"
-    rc = main(["spectrum", "--potential", str(pot), "--nmax", "12", "--method", "both", "--out", str(out)])
-    assert rc == 3
-    assert "inside one band" in capsys.readouterr().err
-    assert list(files["dir"].glob("edges*")) == []
+    rc = main(["spectrum", "--potential", str(pot), "--nmax", str(n_max), "--method", "both", "--out", str(out)])
+    assert rc == 0
+    assert float(capsys.readouterr().err.rsplit(":", 1)[1]) <= 1e-8
+    assert (files["dir"] / "edges.discriminant.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from hillgaps.spectrum import (
     _MAX_REFINE,
     _ROOT_TOL,
     _eigenvalues,
+    _bisect_position,
     _Propagator,
     _refine_roots,
     _root_tol,
@@ -494,9 +495,9 @@ def _count_sweeps(monkeypatch):
     sweep = _Propagator._sweep
     step_deviations = spectrum._step_deviations
 
-    def counted(self, lams):
+    def counted(self, lams, *args):
         sweeps.append((self.steps, lams.size))
-        return sweep(self, lams)
+        return sweep(self, lams, *args)
 
     def counted_steps(qa, qb, h, lams, *args):
         chunks.append((qa.size, lams.size))
@@ -729,6 +730,129 @@ def test_even_potentials_sweep_half_the_period(monkeypatch, q, steps, swept):
     _, chunks = _count_sweeps(monkeypatch)
     _Propagator(q, steps).delta(np.linspace(-50.0, 2000.0, 17))
     assert sum(n for n, _ in chunks) == swept
+
+
+# ------------------------------------------------------ spectral position
+
+STRONG = {
+    "mathieu-10": mathieu(10.0),
+    "mathieu-20": mathieu(20.0),
+    "two-harmonic": from_fourier(0.0, [(1, 10.0), (2, 5.0)]),
+    "power-decay": power_decay(2.0, 32),
+    "period-third": from_fourier(0.0, [(3, 40 + 7j)]),
+}
+
+
+@pytest.mark.parametrize("steps", [2048, 1000, 999])
+@pytest.mark.parametrize("name", list(STRONG))
+def test_position_counts_bands_at_galerkin_centres(name, steps):
+    # P = 2 m at the centre of band m and P = 2 n - 1 at the centre of every
+    # gap wider than 1e-6 relative; 1000 and 999 steps merge runs of unequal
+    # power-of-two lengths, folded (500 steps) and over the full period
+    q = STRONG[name]
+    g = band_edges_galerkin(q, 12)
+    lows = np.array([g.lambda0] + [hi for _, hi in g.pairs[:-1]])
+    highs = np.array([lo for lo, _ in g.pairs])
+    gaps = np.array(g.pairs)
+    wide = np.flatnonzero(gaps[:, 1] - gaps[:, 0] > 1e-6 * (1.0 + np.abs(gaps[:, 0])))
+    prop = _Propagator(q, steps)
+    _, _, _, p = prop.delta(0.5 * (lows + highs), count=True)
+    assert np.array_equal(p, 2.0 * np.arange(12))
+    _, _, _, p = prop.delta(gaps[wide].mean(axis=1), count=True)
+    assert np.array_equal(p, 2.0 * wide + 1.0)
+    assert prop.delta(-q.l1_bound() - 1.0, count=True)[3][0] == -1.0
+
+
+@pytest.mark.parametrize("name", ["mathieu-10", "mathieu-20", "two-harmonic", "power-decay"])
+def test_folded_position_matches_full_period(name):
+    # an even q folds its 2048-step sweep onto 1024 steps; 2047 steps and the
+    # unfolded 2048 sweep the whole period, and P agrees on the whole grid
+    lams = np.linspace(-60.0, 1600.0, 801)
+    folded = _Propagator(STRONG[name], 2048).delta(lams, count=True)[3]
+    unfolded = _Propagator(STRONG[name], 2048)
+    unfolded.even = False
+    assert np.array_equal(folded, _Propagator(STRONG[name], 2047).delta(lams, count=True)[3])
+    assert np.array_equal(folded, unfolded.delta(lams, count=True)[3])
+    assert np.all(np.diff(folded) >= 0.0) and folded[0] == -1.0 and folded[-1] == 24.0
+
+
+def test_position_keeps_the_sweep_bits_in_any_batch():
+    # the count adds P and changes no bit of the trace, D or B; P of a lambda
+    # does not depend on its batch
+    for prop in (_Propagator(mathieu(0.5), 1000), _Propagator(COMPLEX, 2048)):
+        lams = np.linspace(-50.0, 2000.0, 57)
+        plain, counted = prop.delta(lams), prop.delta(lams, count=True)
+        for got, want in zip(counted[:3], plain):
+            assert np.array_equal(got, want)
+        alone = np.concatenate([prop.delta(x, count=True)[3] for x in lams[::7]])
+        assert np.array_equal(alone, counted[3][::7])
+
+
+def test_position_exact_where_steps_turn_past_pi():
+    # at 256 steps a step of band 700 turns e2 by 2 x ~ 8.6 > 2 pi
+    prop = _Propagator(mathieu(0.5), 256)
+    m = np.arange(701)
+    centres = (np.pi * (m + 0.5)) ** 2
+    assert np.sqrt(centres[-1]) / 256 > 2.0 * np.pi
+    assert np.array_equal(prop.delta(centres, count=True)[3], 2.0 * m)
+    cv = cross_validate(mathieu(0.5), 400, dcfg=DiscriminantConfig(steps=256))
+    assert cv.max_rel_discrepancy <= 3.1e-9  # 3.02e-9 before the count
+
+
+def _record_bisections(monkeypatch):
+    targets = []
+    bisect = spectrum._bisect_position
+
+    def recorded(prop, lo, hi, target):
+        targets.extend(int(t) for t in target)
+        return bisect(prop, lo, hi, target)
+
+    monkeypatch.setattr(spectrum, "_bisect_position", recorded)
+    return targets
+
+
+def test_probe_bisection_finds_band_0(monkeypatch):
+    # the free centre (pi / 2)^2 lies in gap 1 of mathieu(10): band 0 is bisected for
+    targets = _record_bisections(monkeypatch)
+    assert cross_validate(mathieu(10.0), 8).max_rel_discrepancy <= 1e-8
+    assert targets == [0]
+
+
+def test_missed_hump_is_bisected(monkeypatch):
+    # gap 1 of this period-1/3 potential is closed at lambda = -1.489, and
+    # the jumps between the probes of bands 0 and 1 end far below -8 B:
+    # bisection on P = 1 between them supplies the sample at the double root
+    # (the probes of bands 0, 4 and 6 are bisected for first)
+    targets = _record_bisections(monkeypatch)
+    cv = cross_validate(from_fourier(0.0, [(3, 16 - 40j)]), 8)
+    assert targets == [0, 4, 6, 1]
+    assert cv.max_rel_discrepancy <= 1e-8
+    assert cv.discriminant.collapsed[:2] == (True, True)
+
+
+def test_bisect_position_stops_at_the_tolerance():
+    # the gaps of q = 0 are closed, so P = 1 holds at pi^2 alone
+    x, _, _, p = _bisect_position(_Propagator(ZERO, 2048), [(np.pi / 2) ** 2], [(1.5 * np.pi) ** 2], [1])
+    assert abs(x[0] - np.pi**2) <= _root_tol(np.pi**2, np.inf)
+    assert p[0] in (0.0, 1.0, 2.0)
+    assert all(v.size == 0 for v in _bisect_position(_Propagator(ZERO, 2048), [], [], []))
+
+
+def test_probe_bisection_cap_names_the_band(monkeypatch):
+    monkeypatch.setattr(spectrum, "_MAX_REFINE", 1)
+    with pytest.raises(BracketError, match="no point of band 0 found by bisection"):
+        band_edges_discriminant(mathieu(10.0), 2)
+
+
+def test_seeded_strong_potentials_solve():
+    # 42 potentials with K <= 4 and |c(k)| < 30, half of them even: every one
+    # agrees with Galerkin (31 exited 3 when probes came from the free bands)
+    rng = np.random.default_rng(5)
+    for _ in range(42):
+        k = int(rng.integers(1, 5))
+        c = 30.0 * rng.random(k) * np.exp(2j * np.pi * rng.random(k) * rng.integers(0, 2))
+        q = from_fourier(0.0, list(zip(range(1, k + 1), c)))
+        assert cross_validate(q, 8).max_rel_discrepancy <= 1e-8, c
 
 
 def test_mathieu_collapse_flags_at_n12():

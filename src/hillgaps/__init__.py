@@ -16,7 +16,6 @@ from .gaps import (
     TailTable,
     decay_slope,
     default_fit_start,
-    gaps,
     residuals,
     rho,
     rho_routes_allowance,

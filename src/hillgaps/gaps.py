@@ -19,27 +19,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .potential import Potential, hormander_norm
 from .sequence_spaces import TwoSidedSeq, Weight, _weighted_squares, convolve, power_weight, weighted_norm_at
-from .spectrum import BandEdges, _edge_tol
-
-
-def gaps(edges: BandEdges) -> tuple[np.ndarray, np.ndarray]:
-    """Gap lengths from band edges.
-
-    Returns (gamma, clamped): lengths for n = 1..n_max and a flag marking
-    entries that came out negative within the method tolerance and were
-    clamped to zero.  A negative length beyond tolerance raises.
-    """
-    raw = edges.gaps()
-    clamped = np.zeros(raw.size, dtype=bool)
-    out = raw.copy()
-    for i, g in enumerate(raw):
-        if g < 0.0:
-            hi = edges.pairs[i][1]
-            if g < -_edge_tol(hi):
-                raise InputError(f"gap {i + 1} negative beyond tolerance: {g!r}")
-            out[i] = 0.0
-            clamped[i] = True
-    return out, clamped
+from .spectrum import BandEdges
 
 
 def rho(q: Potential, n: int | np.ndarray) -> complex | np.ndarray:
@@ -199,9 +179,10 @@ def rho_routes_allowance(q: Potential, n_max: int) -> np.ndarray:
 class GapReport:
     """Per-index gap data: lengths, leading terms, corrections, residuals.
 
-    Residual columns are stored exactly as computed from the defining
-    formulas, so they recompute bit-identically from (gamma, two_qhat,
-    rho).
+    Columns are stored as computed: ``gamma`` = ``edges.gaps()``, ``two_qhat``
+    = 2|c(n)|, ``resid_plain`` = gamma - two_qhat, which recomputes bit-identically
+    from them, and ``resid_corrected`` = gamma - 2|c(n) + rho|, which needs the
+    complex c(n) the report does not keep.
     """
 
     n: np.ndarray
@@ -210,7 +191,6 @@ class GapReport:
     rho: np.ndarray  # complex
     resid_plain: np.ndarray
     resid_corrected: np.ndarray
-    clamped: np.ndarray
     method: str
 
     @property
@@ -220,7 +200,7 @@ class GapReport:
 
 def residuals(q: Potential, edges: BandEdges) -> GapReport:
     """Populate the gap report for a potential and its computed edges."""
-    gamma, clamped = gaps(edges)
+    gamma = edges.gaps()
     ns = np.arange(1, edges.n_max + 1)
     qn = np.array([q.coefficient(int(n)) for n in ns])
     rhos = rho(q, ns)
@@ -234,7 +214,6 @@ def residuals(q: Potential, edges: BandEdges) -> GapReport:
         rho=rhos,
         resid_plain=resid_plain,
         resid_corrected=resid_corrected,
-        clamped=clamped,
         method=edges.method,
     )
 

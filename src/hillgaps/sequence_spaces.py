@@ -48,7 +48,6 @@ class Weight:
     s: float = 0.0
     exponents: tuple[float, ...] = ()
     table: tuple[float, ...] = ()
-    clamp_from: int = 1
 
     def __call__(self, k):
         arr = np.asarray(k)
@@ -81,6 +80,11 @@ class Weight:
             f"weight {self.describe()} is {float(out.flat[i])!r} at |k|={float(at.flat[i]):g}: "
             "outside the positive float64 range"
         )
+
+    @property
+    def clamp_from(self) -> int:
+        """Smallest |k| >= 1 where a log_power formula is evaluated; smaller |k| take its value there."""
+        return _ITERATED_LOG_FLOOR[len(self.exponents)]
 
     @property
     def max_index(self) -> float:
@@ -196,7 +200,7 @@ def make_weight(spec) -> Weight:
         raise InputError("log_power exponents must be finite")
     if len(exps) >= len(_ITERATED_LOG_FLOOR):
         raise InputError("log_power weight needs an impractically large positive range")
-    return Weight(kind="log_power", s=s, exponents=exps, clamp_from=_ITERATED_LOG_FLOOR[len(exps)])
+    return Weight(kind="log_power", s=s, exponents=exps)
 
 
 def power_weight(s: float) -> Weight:

@@ -124,10 +124,7 @@ def gap_report_to_csv(report: GapReport) -> str:
 def gap_report_to_doc(report: GapReport) -> dict:
     return {
         "method": report.method,
-        "rows": [
-            dict(zip(GAP_HEADER, _gap_cells(report, i)), clamped=bool(report.clamped[i]))
-            for i in range(report.n.size)
-        ],
+        "rows": [dict(zip(GAP_HEADER, _gap_cells(report, i))) for i in range(report.n.size)],
     }
 
 

@@ -97,16 +97,34 @@ class BandEdges:
     """lambda_0 plus the ordered edge pairs (lambda_n^-, lambda_n^+).
 
     Pair n comes from the periodic problem for even n and the semiperiodic
-    problem for odd n.  ``collapsed`` flags pairs the solver reported as a
-    double root (identical edges); ``resolution`` records the truncation
-    size or integrator step count actually used.
+    problem for odd n.  ``resolution`` records the truncation size or
+    integrator step count actually used.  Construction raises
+    InterlacingError unless every edge is finite, no pair has lambda^+ <
+    lambda^-, and each pair starts above the previous edge up to tolerance.
     """
 
     lambda0: float
     pairs: tuple[tuple[float, float], ...]
     method: str
     resolution: int
-    collapsed: tuple[bool, ...]
+
+    def __post_init__(self):
+        if not math.isfinite(self.lambda0):
+            raise InterlacingError(0, f"non-finite lambda_0 = {self.lambda0!r}")
+        prev_hi = self.lambda0
+        for n, (lo, hi) in enumerate(self.pairs, start=1):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InterlacingError(n, f"non-finite edge pair ({lo!r}, {hi!r})")
+            if lo < prev_hi - _edge_tol(max(abs(prev_hi), abs(lo), abs(hi))):
+                raise InterlacingError(n, f"lambda_{n}^- = {lo!r} not above previous edge {prev_hi!r}")
+            if hi < lo:
+                raise InterlacingError(n, f"negative gap: lambda_{n}^+ = {hi!r} < lambda_{n}^- = {lo!r}")
+            prev_hi = hi
+
+    @property
+    def collapsed(self) -> tuple[bool, ...]:
+        """Flags the pairs the solver reported as a double root (identical edges)."""
+        return tuple(hi == lo for lo, hi in self.pairs)
 
     @property
     def n_max(self) -> int:
@@ -124,21 +142,6 @@ class BandEdges:
         for lo, hi in self.pairs:
             out.extend((lo, hi))
         return np.array(out)
-
-    def validate(self) -> None:
-        """Raise InterlacingError unless every edge is finite and the edges interlace up to tolerance."""
-        if not math.isfinite(self.lambda0):
-            raise InterlacingError(0, f"non-finite lambda_0 = {self.lambda0!r}")
-        prev_hi = self.lambda0
-        for n, (lo, hi) in enumerate(self.pairs, start=1):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InterlacingError(n, f"non-finite edge pair ({lo!r}, {hi!r})")
-            tol = _edge_tol(max(abs(prev_hi), abs(lo), abs(hi)))
-            if lo < prev_hi - tol:
-                raise InterlacingError(n, f"lambda_{n}^- = {lo!r} not above previous edge {prev_hi!r}")
-            if hi < lo - tol:
-                raise InterlacingError(n, f"negative gap: lambda_{n}^+ = {hi!r} < lambda_{n}^- = {lo!r}")
-            prev_hi = hi
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +227,7 @@ def _eigenvalues(mat: np.ndarray, n_sin: int) -> np.ndarray:
     When the cos-sin block is exactly zero (an even potential) the two
     diagonal blocks are solved apart and their eigenvalues merged.  A matrix
     with entries that overflowed to inf has NaN eigenvalues, which
-    :meth:`BandEdges.validate` reports as non-finite edges.
+    :class:`BandEdges` refuses as non-finite edges.
     """
     if not np.isfinite(mat).all():
         return np.full(mat.shape[0], np.nan)
@@ -240,8 +243,8 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
 
     Sorted periodic eigenvalues mu and semiperiodic eigenvalues nu pair up
     in counting order: lambda_0 = mu_0, lambda_{2m}^-+ = mu_{2m-1}, mu_{2m},
-    lambda_{2m+1}^-+ = nu_{2m}, nu_{2m+1}.  The interlacing ordering is
-    asserted afterwards and a violation raises with the offending index.
+    lambda_{2m+1}^-+ = nu_{2m}, nu_{2m+1}.  :class:`BandEdges` asserts the
+    interlacing ordering, and a violation raises with the offending index.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -255,15 +258,7 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
             pairs.append((float(mu[n - 1]), float(mu[n])))
         else:
             pairs.append((float(nu[n - 1]), float(nu[n])))
-    edges = BandEdges(
-        lambda0=float(mu[0]),
-        pairs=tuple(pairs),
-        method="galerkin",
-        resolution=n_trunc,
-        collapsed=tuple(hi == lo for lo, hi in pairs),
-    )
-    edges.validate()
-    return edges
+    return BandEdges(lambda0=float(mu[0]), pairs=tuple(pairs), method="galerkin", resolution=n_trunc)
 
 
 # ----------------------------------------------------------------------
@@ -841,17 +836,11 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
     roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
 
     pairs = {n: (x, x) for n, x in collapsed_at.items()}
-    for j, n in enumerate(sorted(open_gaps)):  # two roots per open gap, after lambda_0's
+    # two roots per open gap, after lambda_0's, bracketed on either side of its best sample: lo <= hi
+    for j, n in enumerate(sorted(open_gaps)):
         pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
-    edges = BandEdges(
-        lambda0=float(roots[0]) + mean,
-        pairs=tuple((pairs[n][0] + mean, pairs[n][1] + mean) for n in range(n_max)),
-        method="discriminant",
-        resolution=prop.steps,
-        collapsed=tuple(n in collapsed_at for n in range(n_max)),
-    )
-    edges.validate()
-    return edges
+    shifted = tuple((pairs[n][0] + mean, pairs[n][1] + mean) for n in range(n_max))
+    return BandEdges(lambda0=float(roots[0]) + mean, pairs=shifted, method="discriminant", resolution=prop.steps)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import operator_constant
 from hillgaps import (
     ConvTrials,
     GalerkinConfig,
+    InterlacingError,
     TwoSidedSeq,
     band_edges_discriminant,
     band_edges_galerkin,
@@ -92,11 +93,11 @@ def test_criterion_3_interlacing_random_potentials():
     violations = 0
     worst_gap = 0.0
     for seed in range(100):
-        edges = band_edges_galerkin(random_hs(1.0, 32, seed), 12)
         try:
-            edges.validate()
-        except Exception:
+            edges = band_edges_galerkin(random_hs(1.0, 32, seed), 12)
+        except InterlacingError:
             violations += 1
+            continue
         worst_gap = min(worst_gap, float(np.min(edges.gaps())))
     ok = violations == 0 and worst_gap >= -1e-10
     assert verdict(3, ok, f"violations {violations}, most negative gap {worst_gap:.2e}")

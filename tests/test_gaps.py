@@ -16,7 +16,6 @@ from hillgaps import (
     default_fit_start,
     example_2_4_weight,
     from_fourier,
-    gaps,
     mathieu,
     power_decay,
     power_weight,
@@ -38,27 +37,11 @@ ZERO = from_fourier(0.0, [])
 
 
 def test_gaps_zero_potential():
-    g, clamped = gaps(band_edges_galerkin(ZERO, 6))
-    assert np.array_equal(g, np.zeros(6))
-    assert not np.any(clamped)
+    assert np.array_equal(band_edges_galerkin(ZERO, 6).gaps(), np.zeros(6))
 
 
 def test_gaps_constant_potential_zero():
-    g, _ = gaps(band_edges_galerkin(from_fourier(3.0, []), 6))
-    assert np.array_equal(g, np.zeros(6))
-
-
-def test_gaps_clamp_small_negative():
-    edges = BandEdges(lambda0=0.0, pairs=((1.0, 1.0 - 1e-12),), method="synthetic", resolution=0, collapsed=(False,))
-    g, clamped = gaps(edges)
-    assert g[0] == 0.0
-    assert clamped[0]
-
-
-def test_gaps_reject_large_negative():
-    edges = BandEdges(lambda0=0.0, pairs=((1.0, 0.5),), method="synthetic", resolution=0, collapsed=(False,))
-    with pytest.raises(InputError):
-        gaps(edges)
+    assert np.array_equal(band_edges_galerkin(from_fourier(3.0, []), 6).gaps(), np.zeros(6))
 
 
 # ------------------------------------------------------------------ rho
@@ -213,7 +196,7 @@ def test_rho_matches_second_order_gap_scaling():
     eps = 1e-2
     for q, n_max in ((two_harmonic(0.4, 0.3), 4), (power_decay(2.0, 8), 7)):
         q_eps = from_fourier(0.0, [(k, eps * v) for k, v in q.coeffs])
-        gamma, _ = gaps(band_edges_galerkin(q_eps, n_max))
+        gamma = band_edges_galerkin(q_eps, n_max).gaps()
         for n in range(1, n_max + 1):
             c, r = q.coefficient(n), rho(q, n)
             measured = (gamma[n - 1] - 2.0 * abs(eps * c)) / eps**2
@@ -249,7 +232,7 @@ def test_residuals_huge_cutoff_is_immediate():
     # c(n - a) is looked up among the nonzero coefficients: nothing of size K
     q = from_fourier(0.0, [(10**12, 0.1)])
     pairs = tuple((float(n) ** 2, float(n) ** 2 + 0.5) for n in range(1, 5))
-    edges = BandEdges(lambda0=0.0, pairs=pairs, method="synthetic", resolution=0, collapsed=(False,) * 4)
+    edges = BandEdges(lambda0=0.0, pairs=pairs, method="synthetic", resolution=0)
     tracemalloc.start()
     try:
         rep = residuals(q, edges)
@@ -413,8 +396,7 @@ def _parallel_report(shrink: float) -> GapReport:
     ns = np.arange(1, gamma.size + 1)
     return GapReport(
         n=ns, gamma=gamma, two_qhat=two_qhat, rho=np.zeros(ns.size, dtype=complex),
-        resid_plain=(gamma - two_qhat) * (1.0 - shrink), resid_corrected=gamma - two_qhat,
-        clamped=np.zeros(ns.size, dtype=bool), method="galerkin",
+        resid_plain=(gamma - two_qhat) * (1.0 - shrink), resid_corrected=gamma - two_qhat, method="galerkin",
     )
 
 

@@ -11,6 +11,7 @@ from hillgaps import (
     ConvTrials,
     InputError,
     TwoSidedSeq,
+    Weight,
     check_or_class,
     check_sandwich,
     conv_lemma_report,
@@ -124,6 +125,17 @@ def test_iterated_log_floor_per_depth():
             assert not positive(floor - 1)
     with pytest.raises(InputError, match="impractically large"):
         log_power_weight(1.0, [1.0] * 4)
+
+
+def test_log_power_weight_built_directly_equals_helper():
+    # the clamp index follows from the exponents, so a Weight built without
+    # make_weight evaluates and compares like the helper's
+    direct = Weight(kind="log_power", s=1.0, exponents=(1.0, 1.0))
+    helper = log_power_weight(1.0, (1.0, 1.0))
+    assert direct == helper
+    ks = np.arange(-40, 41)
+    assert bits(direct(ks)) == bits(helper(ks))
+    assert bits(direct.at_real(ks + 0.5)) == bits(helper.at_real(ks + 0.5))
 
 
 def test_weight_extension_invariants_all_kinds():

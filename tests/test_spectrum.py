@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -889,32 +891,30 @@ def test_truncation_stability():
 
 def test_interlacing_on_random_potentials():
     for seed in range(10):
-        edges = band_edges_galerkin(random_hs(1.0, 32, seed), 12)
-        edges.validate()
-        assert np.all(edges.gaps() >= -1e-10)
+        assert np.all(band_edges_galerkin(random_hs(1.0, 32, seed), 12).gaps() >= 0.0)
 
 
 def test_validate_raises_with_offending_index():
     pairs = ((1.0, 2.0), (1.5, 3.0))
-    bad = BandEdges(lambda0=0.0, pairs=pairs, method="synthetic", resolution=0, collapsed=(False, False))
     with pytest.raises(InterlacingError) as err:
-        bad.validate()
+        BandEdges(lambda0=0.0, pairs=pairs, method="synthetic", resolution=0)
     assert err.value.n == 2
 
 
 def test_validate_rejects_non_finite_edges():
     nan, inf = float("nan"), float("inf")
     for lambda0, pairs, n in ((0.0, ((nan, 1.0),), 1), (0.0, ((1.0, inf),), 1), (-inf, ((1.0, 2.0),), 0)):
-        bad = BandEdges(lambda0=lambda0, pairs=pairs, method="synthetic", resolution=0, collapsed=(False,))
         with pytest.raises(InterlacingError, match="non-finite") as err:
-            bad.validate()
+            BandEdges(lambda0=lambda0, pairs=pairs, method="synthetic", resolution=0)
         assert err.value.n == n
 
 
 def test_negative_gap_rejected():
-    bad = BandEdges(lambda0=0.0, pairs=((2.0, 1.0),), method="synthetic", resolution=0, collapsed=(False,))
-    with pytest.raises(InterlacingError):
-        bad.validate()
+    # lambda^+ < lambda^- is refused however small the difference
+    for hi in (1.0, 2.0 - 1e-12, math.nextafter(2.0, 0.0)):
+        with pytest.raises(InterlacingError, match="negative gap") as err:
+            BandEdges(lambda0=0.0, pairs=((2.0, hi),), method="synthetic", resolution=0)
+        assert err.value.n == 1
 
 
 def test_parity_tags():

@@ -28,6 +28,7 @@ from .potential import (
     Potential,
     from_fourier,
     hormander_norm,
+    lame,
     load_potential,
     mathieu,
     potential_from_dict,

@@ -116,10 +116,34 @@ def hormander_norm(q: Potential, w: Weight) -> float:
 # Named test potentials
 # ----------------------------------------------------------------------
 
+_LAME_MAX_CUTOFF = 4096  # the Galerkin truncation bound: a larger cutoff cannot be solved
+
 
 def mathieu(c: float) -> Potential:
     """q(x) = 2 c cos(2 pi x): the single-harmonic potential."""
     return from_fourier(0.0, [(1, c)])
+
+
+def lame(ell: int, t: float) -> Potential:
+    """Mean-zero part of ell (ell + 1) wp(x + tau / 2), periods 1 and tau = i t.
+
+    Exactly ell gaps are open.  With p = exp(-pi t) the coefficients are
+    c(k) = -ell (ell + 1) 4 pi^2 k p^k / (1 - p^(2k)); the cutoff is the
+    first k with |c(k)| <= eps |c(1)|, and must not exceed 4096.
+    """
+    if ell < 1 or ell != int(ell):
+        raise InputError(f"lame needs an integer ell >= 1, got ell={ell!r}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise InputError(f"lame needs a finite t > 0, got t={t!r}")
+    k = np.arange(1, _LAME_MAX_CUTOFF + 1)
+    scale = -ell * (ell + 1) * 4.0 * math.pi**2
+    with np.errstate(over="ignore"):  # a c(1) that overflows is refused by from_fourier
+        c = scale * k * np.exp(-math.pi * t * k) / -np.expm1(-2.0 * math.pi * t * k)  # 1 - p^(2k) = -expm1
+    below = np.abs(c) <= np.finfo(float).eps * abs(c[0])
+    if not below.any():
+        raise InputError(f"lame needs a cutoff above {_LAME_MAX_CUTOFF} at t={t!r}")
+    cutoff = int(np.argmax(below)) + 1
+    return from_fourier(0.0, zip(k[:cutoff].tolist(), c[:cutoff].tolist()))
 
 
 def two_harmonic(c1: float, c2: float) -> Potential:

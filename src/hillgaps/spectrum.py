@@ -54,21 +54,21 @@ class GalerkinConfig:
     """Truncation policy for the Fourier basis solver.
 
     ``n_trunc`` is the number of retained frequencies per side; when left
-    unset it defaults to max(64, 2 n_max + 16, n_max + 2 K).  Edge n lives
-    near basis index n / 2 and c(k) couples index j only to j +- k with
-    |k| <= K, so n_max + 2 K reaches at least two full coupling hops past
-    the highest reported edge; 2 n_max + 16 is the safety floor and 64
-    keeps small problems as they are.  Rayleigh-Ritz edges converge from
-    above, quadratically in the eigenvector tail cut off, while the
-    eigensolver's rounding floor grows like n_trunc^2, so a truncation
-    larger than this costs accuracy as well as time.  Either way it must
-    lie in [2 n_max + 16, 4096].
+    unset it defaults to max(64, 2 n_max + 16, ceil(n_max / 2) + 2 K).
+    Edge n lives near basis index n / 2, so the highest reported edge sits
+    at index ceil(n_max / 2), and c(k) couples index j only to j +- k with
+    |k| <= K: ceil(n_max / 2) + 2 K is exactly two full coupling hops past
+    it.  2 n_max + 16 is the safety floor and 64 keeps small problems as
+    they are.  Rayleigh-Ritz edges converge from above, quadratically in
+    the eigenvector tail cut off, while the eigensolver's rounding floor
+    grows like n_trunc^2, so a truncation larger than this costs accuracy
+    as well as time.  Either way it must lie in [2 n_max + 16, 4096].
     """
 
     n_trunc: int | None = None
 
     def resolve(self, n_max: int, cutoff: int) -> int:
-        n = self.n_trunc if self.n_trunc is not None else max(64, 2 * n_max + 16, n_max + 2 * cutoff)
+        n = self.n_trunc if self.n_trunc is not None else max(64, 2 * n_max + 16, (n_max + 1) // 2 + 2 * cutoff)
         if n < 2 * n_max + 16:
             raise InputError(f"n_trunc={n} below the safety floor {2 * n_max + 16}")
         if n > _MAX_TRUNC:

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite.
 
 These deliberately avoid the library's own code paths: the convolution
-oracle is a literal double sum, and the operator-norm oracle maximizes the
-convolution ratio by alternating singular-value steps.  ``loop_convolve``,
+oracle is a literal double sum, the operator-norm oracle maximizes the
+convolution ratio by alternating singular-value steps, and the Lame edges
+come from theta series.  ``loop_convolve``,
 ``loop_norm`` and ``loop_rho`` are frozen copies of the per-shift, per-pair
 and per-index loops that the library's batched kernels replaced; the
 kernels must reproduce their bits, signed zeros and non-finite values
@@ -94,6 +95,27 @@ def loop_rho(q, n: int) -> complex:
             if cb:
                 acc += ca * cb / complex(a * b)
     return acc / complex(4.0 * math.pi * math.pi)
+
+
+def lame_edges(ell: int, t: float) -> np.ndarray:
+    """The 2 ell + 1 band edges of ``lame(ell, t)``, ascending, up to a common shift (ell = 1, 2).
+
+    With the theta constants of nome p = exp(-pi t), e1 = (pi^2/3)(th3^4 +
+    th4^4), e2 = (pi^2/3)(th2^4 - th4^4) and e3 = -(pi^2/3)(th2^4 + th3^4)
+    (DLMF 20.2, 23.6).  For ell = 1 the edges are -e1, -e2, -e3; for ell = 2
+    they are 3 e1, 3 e2, 3 e3 and +-sqrt(3 g2), g2 = 2 (e1^2 + e2^2 + e3^2).
+    """
+    p = math.exp(-math.pi * t)
+    m = np.arange(1, 40)
+    th2 = 2.0 * np.sum(p ** ((m - 0.5) ** 2))
+    th3 = 1.0 + 2.0 * np.sum(p ** (m * m))
+    th4 = 1.0 + 2.0 * np.sum((-1.0) ** m * p ** (m * m))
+    c = math.pi**2 / 3.0
+    e = np.array([c * (th3**4 + th4**4), c * (th2**4 - th4**4), -c * (th2**4 + th3**4)])
+    if ell == 1:
+        return np.sort(-e)
+    g2 = 2.0 * np.sum(e * e)
+    return np.sort(np.concatenate((3.0 * e, [math.sqrt(3.0 * g2), -math.sqrt(3.0 * g2)])))
 
 
 def _pw(s: float, kmax: int) -> np.ndarray:

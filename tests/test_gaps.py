@@ -10,6 +10,7 @@ from hillgaps import (
     BandEdges,
     GapReport,
     InputError,
+    Weight,
     band_edges_discriminant,
     band_edges_galerkin,
     decay_slope,
@@ -400,7 +401,7 @@ def _parallel_report(shrink: float) -> GapReport:
     )
 
 
-@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=str)
+@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=Weight.describe)
 def test_membership_triangle_allows_rounding_only(w):
     # at equality the check passes within its rounding allowance; a residual
     # norm 1e-9 short, far beyond the allowance, still fails

@@ -8,6 +8,7 @@ from hillgaps import (
     InputError,
     from_fourier,
     hormander_norm,
+    lame,
     load_potential,
     mathieu,
     potential_from_dict,
@@ -25,6 +26,23 @@ def test_mathieu_construction_and_value():
     assert q.evaluate(0.0) == pytest.approx(0.2, rel=1e-15)
     xs = np.linspace(0, 1, 64, endpoint=False)
     assert np.allclose(q.evaluate(xs), 0.2 * np.cos(2 * np.pi * xs), atol=1e-15)
+
+
+def test_lame_coefficients_and_cutoff():
+    # c(k) = -ell (ell + 1) 4 pi^2 k p^k / (1 - p^(2k)), p = exp(-pi t), kept up
+    # to the first k whose |c(k)| is at most eps |c(1)|
+    p = math.exp(-math.pi)
+    q = lame(2, 1.0)
+    c = [q.coefficient(k) for k in range(1, q.cutoff + 1)]
+    assert c[0] == pytest.approx(-24.0 * math.pi**2 * p / (1.0 - p * p), rel=1e-15)
+    assert all(v.imag == 0.0 and v.real < 0.0 for v in c)
+    eps = np.finfo(float).eps
+    assert abs(c[-1]) <= eps * abs(c[0]) < abs(c[-2])
+    assert q.cutoff == 14
+    assert lame(1, 1000.0).coeffs == ()  # every coefficient underflows: q is its mean, 0
+    for ell, t in ((0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0), (1, float("nan")), (1, float("inf")), (1, 1e-4), (1, 1e-320)):
+        with pytest.raises(InputError):
+            lame(ell, t)
 
 
 def test_constant_potential():

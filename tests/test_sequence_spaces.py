@@ -171,7 +171,7 @@ def test_weighted_norm_zero_iff_zero():
     assert weighted_norm(TwoSidedSeq.delta(5, 1e-120), w) > 0.0
 
 
-@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=str)
+@pytest.mark.parametrize("w", [power_weight(0.0), power_weight(1.0), example_2_4_weight(1.0)], ids=Weight.describe)
 def test_weighted_norm_matches_ascending_scalar_sum_bitwise(w):
     # these weights evaluate identically as arrays and as scalars over |k| <= 3000
     rng = np.random.default_rng(23)

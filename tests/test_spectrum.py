@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import lame_edges
 
 from hillgaps import (
     BandEdges,
@@ -19,6 +20,7 @@ from hillgaps import (
     discriminant,
     from_fourier,
     galerkin_matrix,
+    lame,
     mathieu,
     power_decay,
     random_hs,
@@ -175,28 +177,35 @@ def test_galerkin_config_floor():
 
 def test_galerkin_default_truncation():
     assert GalerkinConfig().resolve(8, 16) == 64
-    assert GalerkinConfig().resolve(128, 128) == 384
+    assert GalerkinConfig().resolve(128, 128) == 320
     assert GalerkinConfig().resolve(96, 32) == 208
+    assert GalerkinConfig().resolve(32, 40) == 96
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2000), st.integers(0, 4096))
 def test_galerkin_default_within_floor_and_former_default(n_max, cutoff):
-    # never below the safety floor, and never above max(64, 4 n_max + 2 K): the
-    # default solves every input it solved before, at no larger a matrix
+    # never below the safety floor, and never above max(64, 4 n_max + 2 K) or
+    # max(64, 2 n_max + 16, n_max + 2 K): the default solves every input
+    # either earlier default solved, at no larger a matrix
     former = max(64, 4 * n_max + 2 * cutoff)
     try:
         n = GalerkinConfig().resolve(n_max, cutoff)
     except InputError:
         assert former > 4096
         return
-    assert max(2 * n_max + 16, cutoff) <= n <= former
+    assert max(2 * n_max + 16, cutoff) <= n <= min(former, max(64, 2 * n_max + 16, n_max + 2 * cutoff))
 
 
 @pytest.mark.parametrize(
     "q, n_max",
-    [(random_hs(1.0, 48, 3), 48), (random_hs(0.0, 96, 1), 16), (power_decay(2.0, 32), 60)],
-    ids=["K=n", "K>>n", "K<<n"],
+    [
+        (random_hs(1.0, 48, 3), 48),
+        (random_hs(0.0, 96, 1), 16),
+        (power_decay(2.0, 32), 60),
+        (power_decay(1.0, 128), 128),
+    ],
+    ids=["K=n", "K>>n", "K<<n", "K=n=128"],
 )
 def test_default_truncation_edges(q, n_max):
     # at the default truncation the edges agree with the discriminant route, and
@@ -208,8 +217,39 @@ def test_default_truncation_edges(q, n_max):
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(ref)))) <= 1e-10
     n_trunc = edges.resolution
     doubled = band_edges_galerkin(q, n_max, GalerkinConfig(n_trunc=2 * n_trunc)).all_edges()
-    floor = 8.0 * np.finfo(float).eps * sum((2.0 * np.pi * (n + 1)) ** 2 for n in (n_trunc, 2 * n_trunc))
-    assert np.max(np.abs(got - doubled)) <= floor
+    assert np.max(np.abs(got - doubled)) <= _doubling_floor(n_trunc)
+
+
+def _doubling_floor(n_trunc):
+    """Rounding floor of two Galerkin solves at n_trunc and 2 n_trunc, 8 eps (2 pi (n + 1))^2 each."""
+    return 8.0 * np.finfo(float).eps * sum((2.0 * np.pi * (n + 1)) ** 2 for n in (n_trunc, 2 * n_trunc))
+
+
+def test_default_truncation_strong_coupling():
+    # c(40) = 30 + 30i couples index j to j +- 40 strongly; at n_max = 32 the
+    # default, ceil(32 / 2) + 2 * 40 = 96, lies below n_max + 2 K = 112, and
+    # doubling it moves no edge past the rounding floor.  Only the doubled
+    # truncation is the reference here: at its default 2048 steps the
+    # discriminant route is itself about 5e-9 off on this potential
+    q = from_fourier(0.0, [(1, 30.0), (40, 30.0 + 30.0j)])
+    edges = band_edges_galerkin(q, 32)
+    assert edges.resolution == 96
+    doubled = band_edges_galerkin(q, 32, GalerkinConfig(n_trunc=192)).all_edges()
+    assert np.max(np.abs(edges.all_edges() - doubled)) <= _doubling_floor(96)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("t", [0.3, 0.5, 1.0, 2.0])
+def test_lame_galerkin_closed_forms(ell, t):
+    # at the default truncation the 2 ell + 1 lowest edges match the theta
+    # series up to their common shift, and every gap n > ell is closed, both
+    # within the eigensolver's rounding floor 8 eps (2 pi n_trunc)^2
+    edges = band_edges_galerkin(lame(ell, t), 8)
+    floor = 8.0 * np.finfo(float).eps * (2.0 * np.pi * edges.resolution) ** 2
+    got = edges.all_edges()[: 2 * ell + 1]
+    exact = lame_edges(ell, t)
+    assert np.max(np.abs((got - got[0]) - (exact - exact[0]))) <= floor
+    assert np.max(edges.gaps()[ell:]) <= floor
 
 
 # ------------------------------------------------------------- free operator

@@ -39,7 +39,6 @@ from .potential import (
 )
 from .sequence_spaces import (
     ConvLemmaReport,
-    ConvTrials,
     OrClassReport,
     SandwichReport,
     TwoSidedSeq,

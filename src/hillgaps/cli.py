@@ -32,7 +32,6 @@ from .gaps import (
 )
 from .potential import Potential, hormander_norm, load_potential
 from .sequence_spaces import (
-    ConvTrials,
     check_or_class,
     check_sandwich,
     conv_lemma_report,
@@ -89,7 +88,12 @@ def _weights_from_args(args) -> list:
     specs = [_load_weight_file(p) for p in (args.weight or [])]
     if not specs:
         specs = [{"kind": "power", "s": 1.0}]
-    return [make_weight(s) for s in specs]
+    weights = [make_weight(s) for s in specs]
+    named = {}
+    for w in weights:
+        if named.setdefault(w.describe(), w) != w:
+            raise InputError(f"two different weights are both named {w.describe()}")
+    return weights
 
 
 def _edges_for(q: Potential, args, method: str) -> BandEdges:
@@ -212,7 +216,7 @@ def _verify_battery(q: Potential, weights, args) -> tuple[list[tuple[str, bool, 
     checks.append(("membership_triangle_inequality", tri_ok, serialize.membership_detail(membership)))
 
     # report-only blocks
-    bounded_rep = conv_lemma_report(1.0, 1.0, 1.0, ConvTrials(sizes=(8, 16), pairs_per_size=20, seed=args.seed))
+    bounded_rep = conv_lemma_report(1.0, 1.0, 1.0, sizes=(8, 16), pairs_per_size=20, seed=args.seed)
     sandwich = []
     for w in weights:
         k_max = int(min(2000, w.max_index))

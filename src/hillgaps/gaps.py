@@ -127,21 +127,13 @@ def rho_via_convolution(q: Potential, n_max: int) -> np.ndarray:
         raise InputError("rho_via_convolution requires a mean-zero potential")
     k = np.arange(-q.cutoff, q.cutoff + 1)
     k[q.cutoff] = 1  # c(0) = 0, so a(0) = 0
-    divided = TwoSidedSeq(_over(q.two_sided().coef, k))
+    c = q.two_sided().coef
+    a = np.zeros_like(c)
+    a.real, a.imag = _quot(c.real, c.imag, k)
+    divided = TwoSidedSeq(a)
     square = convolve(divided, divided).coef[2 * q.cutoff + 1 :][:n_max]  # (a*a)(n) for n >= 1
     out = np.zeros(n_max, dtype=complex)
-    out[: square.size] = _over(square, 4.0 * math.pi * math.pi)
-    return out
-
-
-def _over(z: np.ndarray, d) -> np.ndarray:
-    """z / d for real d, with the real and imaginary parts divided apart.
-
-    numpy's complex-by-real division multiplies by the reciprocal, which
-    can move the last bit; this keeps the bits of Python's scalar division.
-    """
-    out = np.empty_like(z)
-    out.real, out.imag = z.real / d, z.imag / d
+    out.real[: square.size], out.imag[: square.size] = _quot(square.real, square.imag, 4.0 * math.pi * math.pi)
     return out
 
 

@@ -94,12 +94,14 @@ class Weight:
         return math.inf
 
     def describe(self) -> str:
+        """The weight's name: s as its shortest round-trip repr with a trailing ".0" dropped."""
+        s = repr(self.s).removesuffix(".0")
         if self.kind == "power":
-            return f"power(s={self.s:g})"
+            return f"power(s={s})"
         if self.kind == "log_power":
-            return f"log_power(s={self.s:g}, r={list(self.exponents)})"
+            return f"log_power(s={s}, r={list(self.exponents)})"
         if self.kind == "example_2_4":
-            return f"example_2_4(s={self.s:g})"
+            return f"example_2_4(s={s})"
         return f"table(len={len(self.table)})"
 
     # internal evaluation on |k| (float array in, float array out); a value
@@ -302,23 +304,6 @@ def weighted_norm_at(k: np.ndarray, v: np.ndarray, w: Weight) -> np.ndarray:
     return np.sqrt(np.cumsum(_weighted_squares(k, v, w), axis=-1)[..., -1])
 
 
-def _ordered(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Operand pairs (a, b), row by row, in the canonical order (x, y) of :func:`convolve`.
-
-    Shorter operands come first; equal lengths are ordered by their
-    (re, im) values in index order, and an equal pair keeps its order.
-    """
-    if a.shape[-1] != b.shape[-1]:
-        return (a, b) if a.shape[-1] < b.shape[-1] else (b, a)
-    fa, fb = a.view(float), b.view(float)
-    diff = fa != fb
-    first = np.argmax(diff, axis=-1)[..., None]
-    keep = ~diff.any(axis=-1, keepdims=True) | (
-        np.take_along_axis(fa, first, -1) < np.take_along_axis(fb, first, -1)
-    )
-    return np.where(keep, a, b), np.where(keep, b, a)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_j x(k-j) y(j) for each row pair of x (..., nx) and y (..., ny), ascending j.
@@ -358,12 +343,10 @@ def _convolve_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> TwoSidedSeq:
     """Convolution (a*b)(k) = sum_j a(k-j) b(j) by direct summation.
 
-    The operand pair is put into a canonical order (x, y) first, so
-    convolve(a, b) and convolve(b, a) run the identical summation and
-    agree bit-exactly.  Each nonzero y(j) adds x shifted by j, so every
-    output sums its terms in ascending j (see :func:`_convolve_rows`).
+    Each nonzero b(j) adds a shifted by j, so every output sums its terms
+    in ascending j (see :func:`_convolve_rows`).
     """
-    return TwoSidedSeq(_convolve_rows(*_ordered(a.coef, b.coef)))
+    return TwoSidedSeq(_convolve_rows(a.coef, b.coef))
 
 
 def _ratios(a: np.ndarray, b: np.ndarray, ws: Weight, wr: Weight, wt: Weight) -> np.ndarray:
@@ -371,7 +354,7 @@ def _ratios(a: np.ndarray, b: np.ndarray, ws: Weight, wr: Weight, wt: Weight) ->
     den = _norms(a, ws) * _norms(b, wr)
     if np.any(den == 0.0):
         raise InputError("convolution ratio undefined for a zero factor")
-    return _norms(_convolve_rows(*_ordered(a, b)), wt) / den
+    return _norms(_convolve_rows(a, b), wt) / den
 
 
 def convolution_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: float) -> float:
@@ -382,19 +365,6 @@ def convolution_ratio(a: TwoSidedSeq, b: TwoSidedSeq, s: float, r: float, t: flo
 # ----------------------------------------------------------------------
 # Convolution boundedness report
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvTrials:
-    """Trial sizes and sampling for the convolution boundedness report.
-
-    The trial family follows from the regime: random pairs where the
-    product is bounded, the symmetric indicator where it fails to hold.
-    """
-
-    sizes: tuple[int, ...] = (8, 16, 32)
-    pairs_per_size: int = 50
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -412,16 +382,19 @@ class ConvLemmaReport:
     growth_factor: float  # max ratio at largest size / max ratio at smallest
 
 
-def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTrials()) -> ConvLemmaReport:
-    """Sample convolution norm ratios over trial families and classify (s, r, t).
+def conv_lemma_report(
+    s: float, r: float, t: float, sizes: tuple[int, ...] = (8, 16, 32), pairs_per_size: int = 50, seed: int = 0
+) -> ConvLemmaReport:
+    """Sample convolution norm ratios at each support in ``sizes`` and classify (s, r, t).
 
     The margin s + r - t > 1/2 marks the bounded regime; anything at or
-    below it is reported as "fails to hold".  In the bounded regime the
-    per-size maximum ratios should be non-increasing beyond the smallest
-    size, up to 5 percent; in the failure regime the symmetric indicator
-    family produces strictly increasing ratios.  A size's random pairs
-    come from one draw, (re a, im a, re b, im b) per pair, and their
-    ratios from one batched convolution.
+    below it is reported as "fails to hold".  In the bounded regime each
+    size takes ``pairs_per_size`` random pairs from one draw of
+    ``default_rng(seed)``, (re a, im a, re b, im b) per pair, and their
+    ratios from one batched convolution; the per-size maximum ratios
+    should be non-increasing beyond the smallest size, up to 5 percent.
+    In the failure regime the symmetric indicator family produces
+    strictly increasing ratios.
     """
     if s < 0 or r < 0:
         raise InputError(f"convolution report requires s, r >= 0, got ({s:g}, {r:g})")
@@ -431,11 +404,11 @@ def conv_lemma_report(s: float, r: float, t: float, trials: ConvTrials = ConvTri
     regime = "bounded" if bounded else "fails to hold"
 
     ws, wr, wt = power_weight(s), power_weight(r), power_weight(t)
-    rng = np.random.default_rng(trials.seed)
+    rng = np.random.default_rng(seed)
     samples = []
-    for n in trials.sizes:
+    for n in sizes:
         if bounded:
-            draw = rng.standard_normal((trials.pairs_per_size, 4, 2 * n + 1))
+            draw = rng.standard_normal((pairs_per_size, 4, 2 * n + 1))
             a, b = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
         else:
             a = b = TwoSidedSeq.indicator(n).coef[None]

@@ -42,24 +42,15 @@ def bits(z) -> tuple[int, ...]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def loop_convolve(a: TwoSidedSeq, b: TwoSidedSeq) -> np.ndarray:
-    """Convolution as one shifted copy of x added per nonzero y(j), ascending j, with (x, y) in canonical order."""
-
-    def precedes(a, b):
-        if a.support != b.support:
-            return a.support < b.support
-        fa, fb = a.coef.view(float), b.coef.view(float)
-        diff = np.flatnonzero(fa != fb)
-        return diff.size == 0 or bool(fa[diff[0]] < fb[diff[0]])
-
-    x, y = (a, b) if precedes(a, b) else (b, a)
-    out = np.zeros(2 * (x.support + y.support) + 1, dtype=complex)
+    """Convolution as one shifted copy of a added per nonzero b(j), ascending j."""
+    out = np.zeros(2 * (a.support + b.support) + 1, dtype=complex)
     re, im = out.real, out.imag
-    xr, xi = x.coef.real, x.coef.imag
-    n = x.coef.size
-    for j in np.flatnonzero(y.coef):
-        yr, yi = y.coef.real[j], y.coef.imag[j]
-        re[j : j + n] += xr * yr - xi * yi
-        im[j : j + n] += xr * yi + xi * yr
+    ar, ai = a.coef.real, a.coef.imag
+    n = a.coef.size
+    for j in np.flatnonzero(b.coef):
+        br, bi = b.coef.real[j], b.coef.imag[j]
+        re[j : j + n] += ar * br - ai * bi
+        im[j : j + n] += ar * bi + ai * br
     return out
 
 

@@ -13,7 +13,6 @@ import pytest
 from conftest import operator_constant
 
 from hillgaps import (
-    ConvTrials,
     GalerkinConfig,
     InterlacingError,
     TwoSidedSeq,
@@ -163,7 +162,7 @@ def test_criterion_7_convolution_both_regimes():
             return TwoSidedSeq(v)
         worst = max(worst, convolution_ratio(draw(), draw(), 1.0, 1.0, 1.0))
     bounded_ok = worst <= const * (1 + 1e-9)
-    rep = conv_lemma_report(0.0, 0.0, 0.0, ConvTrials(sizes=(8, 16, 32)))
+    rep = conv_lemma_report(0.0, 0.0, 0.0, sizes=(8, 16, 32))
     r8 = rep.samples[0].max_ratio
     r32 = rep.samples[-1].max_ratio
     witness_ok = rep.regime == "fails to hold" and r32 >= 1.5 * r8

@@ -218,6 +218,47 @@ def test_gaps_csv_and_tail_files(files):
     assert tail.read_text().splitlines()[0] == "m,partial_sum,increment"
 
 
+def _write_weights(d: Path, docs) -> list[str]:
+    argv = []
+    for i, doc in enumerate(docs):
+        w = d / f"named{i}.json"
+        w.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--weight", str(w)]
+    return argv
+
+
+def test_gaps_writes_a_tail_table_per_weight_whose_s_differs_past_six_digits(files):
+    # both weights were once named power(s=1), and the second table replaced the first
+    ws = _write_weights(files["dir"], [{"kind": "power", "s": 1.0000001}, {"kind": "power", "s": 1.0000002}])
+    base = ["gaps", "--potential", files["pd2_16"], "--nmax", "8", "--range", "2:8", *ws]
+    out = files["dir"] / "g.csv"
+    assert main(base + ["--out", str(out)]) == 0
+    tails = [(files["dir"] / f"g.tail{i}.csv").read_text() for i in range(2)]
+    assert tails[0] != tails[1]
+    assert not (files["dir"] / "g.tail2.csv").exists()
+    doc_out = files["dir"] / "g.json"
+    assert main(base + ["--format", "json", "--out", str(doc_out)]) == 0
+    assert list(json.loads(doc_out.read_text())["tails"]) == ["power(s=1.0000001)", "power(s=1.0000002)"]
+
+
+@pytest.mark.parametrize("command", ["gaps", "verify"])
+def test_different_weights_with_one_name_exit_2(files, capsys, command):
+    ws = _write_weights(files["dir"], [{"kind": "table", "values": [1, 2, 3]}, {"kind": "table", "values": [1, 2, 4]}])
+    out = files["dir"] / "out"
+    rc = main([command, "--potential", files["mathieu01"], "--nmax", "3", "--range", "1:3", *ws, "--out", str(out)])
+    assert rc == 2
+    assert "table(len=3)" in capsys.readouterr().err
+    assert list(files["dir"].glob("out*")) == []
+
+
+def test_equal_weights_given_twice_write_one_tail_table(files):
+    ws = _write_weights(files["dir"], [{"kind": "table", "values": [1, 2, 3]}] * 2)
+    out = files["dir"] / "g.csv"
+    assert main(["gaps", "--potential", files["mathieu01"], "--nmax", "3", "--range", "1:3", *ws, "--out", str(out)]) == 0
+    assert (files["dir"] / "g.tail0.csv").exists()
+    assert not (files["dir"] / "g.tail1.csv").exists()
+
+
 def test_gaps_slope_field_power_decay(files, tmp_path):
     q = power_decay(2.0, 32)
     p = tmp_path / "pd32.json"

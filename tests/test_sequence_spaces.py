@@ -8,7 +8,6 @@ import pytest
 from conftest import bits, brute_convolve, loop_convolve, loop_ratio, operator_constant
 
 from hillgaps import (
-    ConvTrials,
     InputError,
     TwoSidedSeq,
     Weight,
@@ -92,6 +91,22 @@ def test_negative_s_only_for_power():
         example_2_4_weight(-0.5)
     with pytest.raises(InputError):
         log_power_weight(-1.0, [1.0])
+
+
+@pytest.mark.parametrize(
+    "w, name",
+    [
+        (power_weight(1.0), "power(s=1)"),
+        (power_weight(1.0000001), "power(s=1.0000001)"),
+        (power_weight(-1.5), "power(s=-1.5)"),
+        (power_weight(1e16), "power(s=1e+16)"),
+        (example_2_4_weight(1.0), "example_2_4(s=1)"),
+        (log_power_weight(1.0, [2.0]), "log_power(s=1, r=[2.0])"),
+        (table_weight([1.0, 2.0, 3.0]), "table(len=3)"),
+    ],
+)
+def test_describe_names_s_by_its_shortest_repr(w, name):
+    assert w.describe() == name
 
 
 def test_unknown_kind_rejected():
@@ -229,9 +244,7 @@ def test_convolve_matches_double_sum_oracle():
     for _ in range(20):
         a = rand_seq(rng, 8)
         b = rand_seq(rng, 8)
-        # convolve sums over the operand that sorts last by (support, values)
-        x, y = sorted((a, b), key=lambda s: (s.support, tuple(s.coef.view(float))))
-        assert np.array_equal(convolve(a, b).coef, brute_convolve(x, y))
+        assert np.array_equal(convolve(a, b).coef, brute_convolve(a, b))
 
 
 def _with_zeros(rng, c):
@@ -265,7 +278,7 @@ def test_convolve_kernel_batch_rows_with_zeros_at_different_shifts():
         a[2, 0] = np.inf
         b[2, :] = 0.0
         b[2, 1] = 2 - 1j
-        out = seq._convolve_rows(*seq._ordered(a, b))
+        out = seq._convolve_rows(a, b)
         for i in range(6):
             assert bits(out[i]) == bits(loop_convolve(TwoSidedSeq(a[i]), TwoSidedSeq(b[i])))
 
@@ -310,14 +323,6 @@ def test_convolve_support_4096_bitwise_in_bounded_memory_and_time():
     assert min(times["kernel"]) <= 1.1 * min(times["loop"])
 
 
-def test_convolve_commutative_bit_exact():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rand_seq(rng, 7)
-        b = rand_seq(rng, 4)
-        assert np.array_equal(convolve(a, b).coef, convolve(b, a).coef)
-
-
 def test_convolve_bilinear_and_support():
     rng = np.random.default_rng(9)
     a, b, c = rand_seq(rng, 5), rand_seq(rng, 6), rand_seq(rng, 4)
@@ -339,17 +344,17 @@ def test_conv_ratio_delta_pair():
 
 
 def test_conv_lemma_regime_classification():
-    assert conv_lemma_report(1.0, 1.0, 0.0, ConvTrials(sizes=(4, 8))).regime == "bounded"
-    assert conv_lemma_report(0.0, 0.0, 0.0, ConvTrials()).regime == "fails to hold"
+    assert conv_lemma_report(1.0, 1.0, 0.0, sizes=(4, 8)).regime == "bounded"
+    assert conv_lemma_report(0.0, 0.0, 0.0).regime == "fails to hold"
 
 
 def test_conv_lemma_rejects_bad_t():
     with pytest.raises(InputError):
-        conv_lemma_report(1.0, 0.5, 0.75, ConvTrials())
+        conv_lemma_report(1.0, 0.5, 0.75)
 
 
 def test_failure_regime_indicator_growth():
-    rep = conv_lemma_report(0.0, 0.0, 0.0, ConvTrials(sizes=(8, 16, 32)))
+    rep = conv_lemma_report(0.0, 0.0, 0.0, sizes=(8, 16, 32))
     maxima = [s.max_ratio for s in rep.samples]
     assert maxima[0] < maxima[1] < maxima[2]
     assert rep.growth_factor >= 1.5
@@ -366,12 +371,12 @@ def test_conv_lemma_batched_draw_matches_per_pair_path(seed, srt):
     # one draw of (re a, im a, re b, im b) per pair is the stream of one
     # pair of sequences at a time, and the batched ratios have its bits
     s, r, t = srt
-    trials = ConvTrials(sizes=(4, 8, 16), pairs_per_size=12, seed=seed)
-    rep = conv_lemma_report(s, r, t, trials)
+    sizes, pairs_per_size = (4, 8, 16), 12
+    rep = conv_lemma_report(s, r, t, sizes, pairs_per_size, seed)
     rng = np.random.default_rng(seed)
-    for sample, n in zip(rep.samples, trials.sizes):
+    for sample, n in zip(rep.samples, sizes):
         if rep.regime == "bounded":
-            pairs = [(rand_seq(rng, n), rand_seq(rng, n)) for _ in range(trials.pairs_per_size)]
+            pairs = [(rand_seq(rng, n), rand_seq(rng, n)) for _ in range(pairs_per_size)]
         else:
             pairs = [(TwoSidedSeq.indicator(n), TwoSidedSeq.indicator(n))]
         ratios = [loop_ratio(a, b, s, r, t) for a, b in pairs]

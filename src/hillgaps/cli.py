@@ -99,7 +99,7 @@ def _weights_from_args(args) -> list:
 def _edges_for(q: Potential, args, method: str) -> BandEdges:
     # both configurations are built, so a bad --trunc or --steps is refused whichever route runs
     gcfg = GalerkinConfig(n_trunc=args.trunc)
-    dcfg = DiscriminantConfig(steps=args.steps) if args.steps is not None else DiscriminantConfig()
+    dcfg = DiscriminantConfig(steps=args.steps) if args.steps is not None else None
     if method == "galerkin":
         return band_edges_galerkin(q, args.nmax, gcfg)
     return band_edges_discriminant(q, args.nmax, dcfg)

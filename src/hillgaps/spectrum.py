@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InputError, IntegrationError, InterlacingError
+from .errors import BracketError, InputError, IntegrationError, InterlacingError, NumericalError
 from .potential import Potential
+from .roots import _MAX_REFINE, _ROOT_TOL, _parabola, _refine_roots, _root_tol
 
 # Interlacing / gap-sign tolerances, scale-aware: tol(x) = ATOL + RTOL * |x|
 EDGE_ATOL = 1e-10
 EDGE_RTOL = 1e-10
 
 _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
-_ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
-_MAX_REFINE = 200  # refinement steps before a bracket that will not close is an error
 _GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL * gamma
 _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a double root
 # scale of the rounding bound B of D = trace^2 - 4 (see _Propagator); against
@@ -41,6 +40,11 @@ _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds 
 _SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers for a batch of <= _BLOCK_ELEMS / 2
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
 _MAX_STEPS = 65536  # largest integrator step count: a sweep at it is 32x one at the default
+_DEFAULT_STEPS = 2048  # steps of DiscriminantConfig, and the most a solve with none given chooses
+_STEP_CANDIDATES = (256, 512, 1024)  # counts a solve with none given tries first (see _chosen_propagator)
+# edge errors ran at up to 12.2 times the estimate on the tests' potentials, and
+# tier-1 holds power_decay(2, 32) n = 28 within 1e-11 of Galerkin, _edge_tol / 10
+_RICHARDSON_SAFETY = 16.0 * 10.0
 _SCAN_POINTS = 9  # samples of D per inter-band window, its two band probes included
 _TAN_LIMIT = math.pi / 4  # largest half angle a step propagator takes from tan (see _step_deviations)
 
@@ -83,7 +87,7 @@ class GalerkinConfig:
 class DiscriminantConfig:
     """Integrator step count for the monodromy-trace solver, in [256, 65536]."""
 
-    steps: int = 2048
+    steps: int = _DEFAULT_STEPS
 
     def __post_init__(self):
         if self.steps < 256:
@@ -561,11 +565,12 @@ class _Propagator:
         return delta, disc, bound, wronskian, position
 
     @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
-    def delta(self, lams, count: bool = False) -> tuple[np.ndarray, ...]:
+    def delta(self, lams, count: bool = False, witness: bool = True) -> tuple[np.ndarray, ...] | None:
         """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``.
 
         With ``count`` also the spectral position P = 2 N + s from the Dirichlet zero count N, with s = 0 where
         D < 0, else -1 where sign trace = (-1)^N and +1 where not: 2 m across band m, 2 n - 1 across gap n.
+        A failed witness raises ``_WitnessError``, or with ``witness`` False returns None.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         delta, disc, bound, wronskian, position = self._sweep(lams, count)
@@ -573,6 +578,8 @@ class _Propagator:
             raise IntegrationError(f"non-finite trace or Wronskian at steps={self.steps}: the solution overflows")
         drift = float(np.max(np.abs(wronskian - 1.0)))
         if drift > _WRONSKIAN_LIMIT:
+            if not witness:
+                return None
             raise _WitnessError(f"Wronskian drift {drift:.3e} beyond {_WRONSKIAN_LIMIT:g} at steps={self.steps}")
         return (delta, disc, bound, position) if count else (delta, disc, bound)
 
@@ -607,113 +614,35 @@ def _bisect_position(prop: _Propagator, lo, hi, target) -> tuple[np.ndarray, ...
     return x, d, b, p
 
 
-def _band_probes(prop: _Propagator, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _probe_points(q: Potential, n_max: int) -> np.ndarray:
+    """-(l1 bound of q) - 1, then the free band centres (pi (m + 1/2))^2, m = 0..n_max."""
+    return np.concatenate(([-(q.l1_bound() + 1.0)], (np.pi * (np.arange(n_max + 1) + 0.5)) ** 2))
+
+
+def _band_probes(prop: _Propagator, n_max: int, first=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A point left of the spectrum, then one point inside each band 0..n_max, with D and its bound B at each.
 
     The first point and the free band centres (pi (m + 1/2))^2 share one
-    sweep, which counts their spectral position P (see :meth:`_Propagator.delta`).
+    sweep, ``first`` if already taken, which counts their spectral position P
+    (see :meth:`_Propagator.delta`).
     A centre whose P is not 2 m is replaced by bisection on P over [(pi m)^2
     - L, (pi (m + 1))^2 + L], L = max |q| + 1, which holds band m by Sturm
     comparison.  At or below min q - 1, D >= 4 sinh^2 1 ~ 5.5, as the trace
     is at least 2 cosh sqrt(min q - lambda): D <= 0 there is a failed sweep.
     """
-    reach = prop.q.l1_bound() + 1.0
-    m = np.arange(n_max + 1)
-    x = np.concatenate(([-reach], (np.pi * (m + 0.5)) ** 2))
-    _, d, b, p = prop.delta(x, count=True)
+    x = _probe_points(prop.q, n_max)
+    _, d, b, p = first if first is not None else prop.delta(x, count=True)
     if not d[0] > 0.0:
         raise BracketError(f"D = {d[0]!r} at lambda = {x[0]!r}, left of the spectrum, where it must be positive")
-    m = np.flatnonzero(p[1:] != 2 * m)
-    lo, hi = (np.pi * m) ** 2 - reach, (np.pi * (m + 1)) ** 2 + reach
+    m = np.flatnonzero(p[1:] != 2 * np.arange(n_max + 1))
+    lo, hi = (np.pi * m) ** 2 + x[0], (np.pi * (m + 1)) ** 2 - x[0]
     x[m + 1], d[m + 1], b[m + 1], p[m + 1] = _bisect_position(prop, lo, hi, 2 * m)
     for n in m[p[m + 1] != 2 * m]:
         raise BracketError(f"no point of band {n} found by bisection, last at lambda = {float(x[n + 1])!r}")
     return x, d, b
 
 
-def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float]:
-    """Vertex c, curvature k and peak P of D = P - k (lambda - c)^2 through samples i-1, i, i+1.
-
-    c is kept between the outer two samples.  Where the three samples are
-    not concave, k is 0, c is x[i] and P is D there.
-    """
-    x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
-    d0, d1, d2 = (float(v) for v in d[i - 1 : i + 2])
-    s01 = (d1 - d0) / (x1 - x0)
-    k = (s01 - (d2 - d1) / (x2 - x1)) / (x2 - x0)
-    if not k > 0.0:
-        return x1, 0.0, d1
-    c = min(max(0.5 * (x0 + x1) + s01 / (2.0 * k), x0), x2)
-    return c, k, d1 + k * (c - x1) ** 2
-
-
-def _root_tol(x, cap):
-    """Refinement tolerance at x: min(_ROOT_TOL (1 + |x|), cap), at least 4 ulp(x)."""
-    x = np.abs(x)
-    return np.maximum(np.minimum(_ROOT_TOL * (1.0 + x), cap), 4.0 * np.spacing(x))
-
-
-@np.errstate(all="ignore")  # a degenerate interpolant is rejected below by its non-finite step
-def _refine_roots(fn, a, fa, b, fb, cap=math.inf, guess=math.nan):
-    """Batched Chandrupatla iteration on sign-changing brackets, each to its tolerance.
-
-    ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
-    opposite sign (or zero); ``fn(x, idx)`` evaluates f of the edges
-    ``idx`` at ``x``.  Each step evaluates one point per open bracket, which
-    replaces the bracket end of its sign, so the bracket always holds a
-    sign change.  The first point is the edge's ``guess``, or the midpoint
-    where that is NaN.  Every later point comes from the inverse quadratic
-    through the two ends and the point dropped last where that interpolant
-    is monotone over the bracket, else it is the midpoint (Chandrupatla,
-    Adv. Eng. Software 28 (1997) 145-149).  Every point stays at least half
-    the tolerance inside the bracket, so once the newest end lies within
-    half the tolerance of the root the next step closes the bracket from
-    the far side.  An edge leaves the batch once its bracket is at most
-    :func:`_root_tol` wide, with the edge's ``cap``, or it hits an exact
-    zero; returns the endpoint with the smaller |f| of each bracket.
-    Raises BracketError if any bracket is still open after ``_MAX_REFINE``
-    steps.
-    """
-    # x1 is the newest bracket end, x2 the other, x3 the end dropped last
-    x1, f1, x2, f2 = (np.array(v, dtype=float) for v in (a, fa, b, fb))
-    x3, f3 = x2.copy(), f2.copy()
-    cap = np.broadcast_to(np.asarray(cap, dtype=float), x1.shape)
-    guess = np.broadcast_to(np.asarray(guess, dtype=float), x1.shape)
-    t = np.where(np.isnan(guess), 0.5, (guess - x1) / (x2 - x1))  # next point x1 + t (x2 - x1)
-    for step in range(_MAX_REFINE + 1):
-        first = np.abs(f1) <= np.abs(f2)
-        xm, fm = np.where(first, x1, x2), np.where(first, f1, f2)
-        width = np.abs(x2 - x1)
-        tol = _root_tol(xm, cap)
-        live = np.flatnonzero((width > tol) & (fm != 0.0))
-        if live.size == 0:
-            return xm
-        if step == _MAX_REFINE:
-            i = int(live[0])
-            raise BracketError(f"bracket [{x1[i]!r}, {x2[i]!r}] still open after {_MAX_REFINE} refinement steps")
-        lx1, lf1, lx2, lf2 = x1[live], f1[live], x2[live], f2[live]
-        margin = 0.5 * tol[live] / width[live]
-        xt = lx1 + np.clip(t[live], margin, 1.0 - margin) * (lx2 - lx1)
-        ft = np.asarray(fn(xt, live), dtype=float)
-        same = np.sign(ft) == np.sign(lf1)
-        x3[live], f3[live] = np.where(same, lx1, lx2), np.where(same, lf1, lf2)
-        x2[live], f2[live] = np.where(same, lx2, lx1), np.where(same, lf2, lf1)
-        x1[live], f1[live] = xt, ft
-        nx1, nf1, nx2, nf2, nx3, nf3 = (v[live] for v in (x1, f1, x2, f2, x3, f3))
-        # the inverse quadratic is monotone over the bracket iff phi^2 < xi
-        # and (1 - phi)^2 < 1 - xi, with xi and phi where x1 and f1 sit
-        # between x2 and x3 and between f2 and f3
-        xi = (nx1 - nx2) / (nx3 - nx2)
-        phi = (nf1 - nf2) / (nf3 - nf2)
-        alpha = (nx3 - nx1) / (nx2 - nx1)
-        iqi = nf1 / (nf1 - nf2) * nf3 / (nf3 - nf2) - alpha * nf1 / (nf3 - nf1) * nf2 / (nf2 - nf3)
-        use = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(iqi)
-        t[live] = np.where(use, iqi, 0.5)
-
-
-def band_edges_discriminant(
-    q: Potential, n_max: int, cfg: DiscriminantConfig = DiscriminantConfig()
-) -> BandEdges:
+def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | None = None) -> BandEdges:
     """Band edges as roots of D = trace(lambda)^2 - 4, in double precision.
 
     The mean-free potential is solved and the mean added back to every
@@ -737,30 +666,101 @@ def band_edges_discriminant(
     of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
     |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
     2 sqrt(P / k), and never below 4 ulp(lambda); an edge of an open gap
-    starts from its parabola root c -+ sqrt(P / k).  A failed Wronskian
-    witness restarts the solve at twice the steps, up to ``_MAX_STEPS`` and
+    starts from its parabola root c -+ sqrt(P / k).  Without ``cfg`` the
+    solve runs at the count :func:`_chosen_propagator` picks, and again at
+    2048 unless :func:`_narrow_gaps_hold`.  A failed Wronskian witness
+    restarts a solve at twice the steps, up to ``_MAX_STEPS`` and
     ``_MAX_STEP_RETRIES`` times; ``resolution`` is the one step count used.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    steps = cfg.steps
-    while True:
-        try:
-            return _solve_discriminant(_Propagator(q.without_mean(), steps), n_max, q.mean)
-        except _WitnessError:
-            if steps >= min(cfg.steps << _MAX_STEP_RETRIES, _MAX_STEPS):
-                raise
-            steps *= 2
+    q0 = q.without_mean()
+
+    def solve(prop: _Propagator, first=None) -> BandEdges:
+        last = min(prop.steps << _MAX_STEP_RETRIES, _MAX_STEPS)
+        while True:
+            try:
+                lambda0, pairs = _solve_discriminant(prop, n_max, range(n_max), first)
+                break
+            except _WitnessError:
+                if prop.steps >= last:
+                    raise
+                prop, first = _Propagator(q0, 2 * prop.steps), None
+        shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
+        return BandEdges(lambda0=lambda0 + q.mean, pairs=shifted, method="discriminant", resolution=prop.steps)
+
+    if cfg is not None:
+        return solve(_Propagator(q0, cfg.steps))
+    edges = solve(*_chosen_propagator(q0, n_max))
+    if edges.resolution < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean):
+        edges = solve(_Propagator(q0, _DEFAULT_STEPS))
+    return edges
 
 
-def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges:
-    """One solve of :func:`band_edges_discriminant` at ``prop``'s step count, edges shifted by ``mean``."""
-    px, pd, pb = _band_probes(prop, n_max)
+def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | None]:
+    """The propagator at the first candidate count whose error estimate passes, and its probe sweep.
+
+    A candidate s >= 8 K (so that s / 2 clears the alias guard) sweeps the
+    probe points and the band centres +- 1e-4 of their free band width.  Its
+    trace error at each centre, |t_s - t_{s/2}| / 15, over the centred
+    slope and times ``_RICHARDSON_SAFETY``, must lie within :func:`_edge_tol`.
+    A failed witness passes a candidate over; failing all, ``_DEFAULT_STEPS``.
+    """
+    x = _probe_points(q0, n_max)
+    centres = x[1:]
+    dx = 1e-4 * np.pi**2 * (2.0 * np.arange(n_max + 1) + 1.0)
+    points = np.concatenate((x, centres - dx, centres + dx))
+    tol = _edge_tol(centres)
+    prev = None  # the step count of the last sweep that passed its witness, and its trace at the centres
+    for steps in _STEP_CANDIDATES:
+        if steps < 8 * q0.cutoff:
+            continue
+        if prev is None or prev[0] != steps // 2:
+            half = _Propagator(q0, steps // 2).delta(centres, witness=False)
+            prev = None if half is None else (steps // 2, half[0])
+        prop = _Propagator(q0, steps)
+        got = prop.delta(points, count=True, witness=False)
+        if got is None:
+            prev = None
+            continue
+        t, below, above = np.split(got[0][1:], 3)
+        slope = np.abs(above - below) / (2.0 * dx)
+        if prev is not None and np.all(_RICHARDSON_SAFETY / 15.0 * np.abs(t - prev[1]) <= tol * slope):
+            return prop, tuple(v[: n_max + 2] for v in got)
+        prev = steps, t
+    return _Propagator(q0, _DEFAULT_STEPS), None
+
+
+def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float) -> bool:
+    """Whether each open gap of ``edges`` narrower than :func:`_edge_tol` keeps its width at half the steps.
+
+    Truncation can open a closed gap, 16-fold wider per halving (``lame(1,
+    2)`` gap 2: 9.4e-12 at 256 steps, 5.8e-13 at 512, closed from 1024);
+    a gap of the potential keeps its width, here within a factor of two.
+    A failed sweep holds nothing.  ``edges`` carry ``mean``.
+    """
+    gaps = edges.gaps()
+    narrow = [n for n, (lo, hi) in enumerate(edges.pairs) if 0.0 < gaps[n] <= _edge_tol(hi - mean)]
+    if not narrow:
+        return True
+    try:
+        _, pairs = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow, lambda0=False)
+    except NumericalError:
+        return False
+    return all(abs((pairs[n][1] - pairs[n][0]) - gaps[n]) < gaps[n] for n in narrow)
+
+
+def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, lambda0=True) -> tuple[float, dict]:
+    """lambda_0 (NaN without ``lambda0``) and the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps.
+
+    ``first`` is the probe sweep when already taken.
+    """
+    px, pd, pb = _band_probes(prop, n_max, first)
     probes = px[1:]
 
     # every sample of each gap in ascending order: lambda, D and its bound,
     # starting from the band probes on either side
-    samples = {n: (px[n + 1 : n + 3], pd[n + 1 : n + 3], pb[n + 1 : n + 3]) for n in range(n_max)}
+    samples = {n: (px[n + 1 : n + 3], pd[n + 1 : n + 3], pb[n + 1 : n + 3]) for n in gaps}
 
     def add_samples(points: dict) -> None:
         """Evaluate the new points of every gap in one sweep and merge them into its samples."""
@@ -770,11 +770,11 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
             order = np.argsort(np.concatenate((samples[n][0], x)))
             samples[n] = tuple(np.concatenate(pair)[order] for pair in zip(samples[n], (x, dn, bn)))
 
-    add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in range(n_max)})
+    add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in gaps})
     open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
     bisected: set[int] = set()
-    pending = list(range(n_max))
+    pending = list(gaps)
     for jump in range(_MAX_JUMPS + 2):  # the last round judges the gaps bisected in the one before
         jumps, missed = {}, []
         for n in pending:
@@ -813,9 +813,9 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
 
     # sign-change brackets of D: lambda_0, then both edges of every open gap,
     # their ends taken from the samples
-    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))]
-    caps = [math.inf]
-    guesses = [math.nan]
+    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))] if lambda0 else []
+    caps = [math.inf] * len(ends)
+    guesses = [math.nan] * len(ends)
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
@@ -832,15 +832,15 @@ def _solve_discriminant(prop: _Propagator, n_max: int, mean: float) -> BandEdges
             caps.append(cap)
             guesses.append(c + (2 * side - 1) * half)
     # every bracket changes sign: D > 0 left of the spectrum and D < 0 at the probes
-    a, fa, b, fb = (np.array(col) for col in zip(*ends))
+    a, fa, b, fb = np.array(ends, dtype=float).reshape(-1, 4).T
     roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
 
     pairs = {n: (x, x) for n, x in collapsed_at.items()}
     # two roots per open gap, after lambda_0's, bracketed on either side of its best sample: lo <= hi
+    gap_roots = roots[1:] if lambda0 else roots
     for j, n in enumerate(sorted(open_gaps)):
-        pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
-    shifted = tuple((pairs[n][0] + mean, pairs[n][1] + mean) for n in range(n_max))
-    return BandEdges(lambda0=float(roots[0]) + mean, pairs=shifted, method="discriminant", resolution=prop.steps)
+        pairs[n] = (float(gap_roots[2 * j]), float(gap_roots[2 * j + 1]))
+    return (float(roots[0]) if lambda0 else math.nan), pairs
 
 
 # ----------------------------------------------------------------------
@@ -868,7 +868,7 @@ def cross_validate(
     q: Potential,
     n_max: int,
     gcfg: GalerkinConfig = GalerkinConfig(),
-    dcfg: DiscriminantConfig = DiscriminantConfig(),
+    dcfg: DiscriminantConfig | None = None,
 ) -> CrossValidation:
-    """Run both routes on the same potential."""
+    """Run both routes on the same potential; ``dcfg`` as in :func:`band_edges_discriminant`."""
     return CrossValidation(band_edges_galerkin(q, n_max, gcfg), band_edges_discriminant(q, n_max, dcfg))

@@ -9,6 +9,7 @@ from conftest import lame_edges
 from hillgaps import (
     BandEdges,
     BracketError,
+    CrossValidation,
     DiscriminantConfig,
     GalerkinConfig,
     InputError,
@@ -32,6 +33,8 @@ from hillgaps.spectrum import (
     _GAP_RTOL,
     _MAX_REFINE,
     _ROOT_TOL,
+    _chosen_propagator,
+    _edge_tol,
     _eigenvalues,
     _bisect_position,
     _Propagator,
@@ -299,7 +302,7 @@ def test_wronskian_witness_tiny(monkeypatch):
     sweeps, _ = _count_sweeps(monkeypatch)
     for q in (mathieu(0.5), COMPLEX):
         _Propagator(q, 2048).delta(np.array([np.pi**2 / 4, 0.0, -1.0, 500.0]))
-        assert band_edges_discriminant(q, 4).resolution == 2048
+        assert band_edges_discriminant(q, 4, DiscriminantConfig(steps=2048)).resolution == 2048
     assert {steps for steps, _ in sweeps} == {2048}
 
 
@@ -311,7 +314,7 @@ def test_step_doubling_then_integration_error(monkeypatch):
     # at 4096, 5.6e-8 from Galerkin where the mixed solve was 1.3e-7 off
     q = from_fourier(0.0, [(32, 160j)])
     sweeps, _ = _count_sweeps(monkeypatch)
-    edges = band_edges_discriminant(q, 4)
+    edges = band_edges_discriminant(q, 4, DiscriminantConfig(steps=2048))
     steps = [s for s, _ in sweeps]
     first = steps.index(4096)
     assert set(steps[:first]) == {2048} and set(steps[first:]) == {4096}
@@ -750,15 +753,21 @@ def test_discriminant_evaluation_budget(monkeypatch):
     # the benchmark's cross-validation pair: 9-point scans, probes reused as
     # scan ends, and Chandrupatla refinement from the parabola edges take
     # 1043 lambda evaluations in 37 sweeps at 2048 steps (2176 in 51 with
-    # 33-point scans and a safeguarded secant).  Both potentials are even,
-    # so each sweep integrates 1024 steps: 1043 x 1024 ~ 1.07M step x lambda
-    # work, where full-period sweeps took 1042 x 2048 ~ 2.13M
+    # 33-point scans and a safeguarded secant).  At the counts each solve
+    # chooses, 1024 and 512, they take 1119 in 36, the probe sweep with the
+    # estimate's slope points.  Both potentials are even, so each sweep
+    # integrates half its steps: with the estimate's sweeps and the narrow
+    # gap's check at half the steps, 387k step x lambda work in all, where
+    # 2048 steps took 1043 x 1024 ~ 1.07M and full-period sweeps 2.13M
     sweeps, chunks = _count_sweeps(monkeypatch)
-    band_edges_discriminant(mathieu(0.5), 8)
-    band_edges_discriminant(power_decay(2.0, 32), 28)
-    assert sum(n for _, n in sweeps) <= 1150
-    assert len(sweeps) <= 40
-    assert sum(n * nl for n, nl in chunks) <= 1_200_000
+    own = []
+    for q, n_max in ((mathieu(0.5), 8), (power_decay(2.0, 32), 28)):
+        sweeps.clear()
+        steps = band_edges_discriminant(q, n_max).resolution
+        own += [n for s, n in sweeps if s == steps]
+    assert sum(own) <= 1150
+    assert len(own) <= 40
+    assert sum(n * nl for n, nl in chunks) <= 400_000
 
 
 @pytest.mark.parametrize(
@@ -895,6 +904,78 @@ def test_seeded_strong_potentials_solve():
         c = 30.0 * rng.random(k) * np.exp(2j * np.pi * rng.random(k) * rng.integers(0, 2))
         q = from_fourier(0.0, list(zip(range(1, k + 1), c)))
         assert cross_validate(q, 8).max_rel_discrepancy <= 1e-8, c
+
+
+# ------------------------------------------------------ step count control
+
+
+def _seeded_strong_family():
+    """The 42 potentials of test_seeded_strong_potentials_solve."""
+    rng = np.random.default_rng(5)
+    family = []
+    for _ in range(42):
+        k = int(rng.integers(1, 5))
+        c = 30.0 * rng.random(k) * np.exp(2j * np.pi * rng.random(k) * rng.integers(0, 2))
+        family.append(from_fourier(0.0, list(zip(range(1, k + 1), c))))
+    return family
+
+
+FAMILIES = {
+    "strong": list(STRONG.values()),
+    "seeded": _seeded_strong_family(),
+    "lame": [lame(ell, t) for ell in (1, 2) for t in (0.3, 0.5, 1.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("q, n_max, steps", [(mathieu(0.5), 8, 1024), (power_decay(2.0, 32), 28, 512)])
+def test_crossval_pair_chooses_fewer_steps(q, n_max, steps):
+    # the benchmark's pair: the Richardson estimate passes at 1024 and 512
+    # steps; the solve there is the solve at that count, bit for bit, its
+    # edges within _edge_tol of 16384 steps and within 1e-8 of Galerkin
+    edges = band_edges_discriminant(q, n_max)
+    assert edges.resolution == steps
+    assert edges == band_edges_discriminant(q, n_max, DiscriminantConfig(steps=steps))
+    ref = band_edges_discriminant(q, n_max, DiscriminantConfig(steps=16384)).all_edges()
+    assert np.all(np.abs(edges.all_edges() - ref) <= _edge_tol(ref))
+    assert CrossValidation(band_edges_galerkin(q, n_max), edges).max_rel_discrepancy <= 1e-8
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_chosen_steps_keep_edges_and_collapse_flags(family):
+    # no count above 2048 is chosen; where one below it is, the edges lie
+    # within _edge_tol of 16384 steps and every collapse flag is 2048's
+    # (power_decay(2, 32) at 512, lame(2, 2) and two of the seeded family
+    # at 1024, the rest at 2048)
+    for q in FAMILIES[family]:
+        assert _chosen_propagator(q.without_mean(), 8)[0].steps <= 2048
+        edges = band_edges_discriminant(q, 8)
+        if edges.resolution < 2048:
+            ref = band_edges_discriminant(q, 8, DiscriminantConfig(steps=16384)).all_edges()
+            assert np.all(np.abs(edges.all_edges() - ref) <= _edge_tol(ref))
+            assert edges.collapsed == band_edges_discriminant(q, 8, DiscriminantConfig(steps=2048)).collapsed
+
+
+def test_gap_opened_by_truncation_sends_the_solve_to_2048():
+    # lame(1, 2) has one open gap.  The estimate passes at 512 steps, where
+    # the truncation opens gap 2 by 5.8e-13 (9.4e-12 at 256 steps): the gap
+    # does not hold at half the steps, and the solve runs at 2048, where it
+    # is closed
+    q = lame(1, 2.0)
+    assert _chosen_propagator(q.without_mean(), 8)[0].steps == 512
+    edges = band_edges_discriminant(q, 8)
+    assert edges == band_edges_discriminant(q, 8, DiscriminantConfig(steps=2048))
+    assert edges.collapsed == (False,) + (True,) * 7
+
+
+def test_estimate_passes_over_witness_failures(monkeypatch):
+    # a witness that always fails: each candidate's sweeps return no trace
+    # and the next is tried, none raising; the solve then starts at 2048
+    # and restarts twice
+    monkeypatch.setattr(spectrum, "_WRONSKIAN_LIMIT", -1.0)
+    sweeps, _ = _count_sweeps(monkeypatch)
+    with pytest.raises(IntegrationError, match="Wronskian.*steps=8192$"):
+        band_edges_discriminant(ZERO, 2)
+    assert [s for s, _ in sweeps] == [128, 256, 256, 512, 512, 1024, 2048, 4096, 8192]
 
 
 def test_mathieu_collapse_flags_at_n12():

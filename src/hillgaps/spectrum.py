@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import BracketError, InputError, IntegrationError, InterlacingError, NumericalError
 from .potential import Potential
-from .roots import _MAX_REFINE, _ROOT_TOL, _parabola, _refine_roots, _root_tol
 
 # Interlacing / gap-sign tolerances, scale-aware: tol(x) = ATOL + RTOL * |x|
 EDGE_ATOL = 1e-10
 EDGE_RTOL = 1e-10
 
 _WRONSKIAN_LIMIT = 1e-6  # integration failure threshold
+_ROOT_TOL = 1e-12  # relative: refine until width <= _ROOT_TOL * (1 + |lambda|)
+_MAX_REFINE = 200  # refinement steps before a bracket that will not close is an error
 _GAP_RTOL = 1e-3  # an edge of a gap of width gamma refines to at most _GAP_RTOL * gamma
 _MAX_JUMPS = 40  # parabola jumps on one gap before its best point stands as a double root
 # scale of the rounding bound B of D = trace^2 - 4 (see _Propagator); against
@@ -642,6 +643,86 @@ def _band_probes(prop: _Propagator, n_max: int, first=None) -> tuple[np.ndarray,
     return x, d, b
 
 
+def _parabola(x: np.ndarray, d: np.ndarray, i: int) -> tuple[float, float, float]:
+    """Vertex c, curvature k and peak P of D = P - k (lambda - c)^2 through samples i-1, i, i+1.
+
+    c is kept between the outer two samples.  Where the three samples are
+    not concave, k is 0, c is x[i] and P is D there.
+    """
+    x0, x1, x2 = (float(v) for v in x[i - 1 : i + 2])
+    d0, d1, d2 = (float(v) for v in d[i - 1 : i + 2])
+    s01 = (d1 - d0) / (x1 - x0)
+    k = (s01 - (d2 - d1) / (x2 - x1)) / (x2 - x0)
+    if not k > 0.0:
+        return x1, 0.0, d1
+    c = min(max(0.5 * (x0 + x1) + s01 / (2.0 * k), x0), x2)
+    return c, k, d1 + k * (c - x1) ** 2
+
+
+def _root_tol(x, cap):
+    """Refinement tolerance at x: min(_ROOT_TOL (1 + |x|), cap), at least 4 ulp(x)."""
+    x = np.abs(x)
+    return np.maximum(np.minimum(_ROOT_TOL * (1.0 + x), cap), 4.0 * np.spacing(x))
+
+
+@np.errstate(all="ignore")  # a degenerate interpolant is rejected below by its non-finite step
+def _refine_roots(fn, a, fa, b, fb, cap=math.inf, guess=math.nan):
+    """Batched Chandrupatla iteration on sign-changing brackets, each to its tolerance.
+
+    ``a``/``b`` carry the bracket endpoints per edge with f(a) and f(b) of
+    opposite sign (or zero); ``fn(x, idx)`` evaluates f of the edges
+    ``idx`` at ``x``.  Each step evaluates one point per open bracket, which
+    replaces the bracket end of its sign, so the bracket always holds a
+    sign change.  The first point is the edge's ``guess``, or the midpoint
+    where that is NaN.  Every later point comes from the inverse quadratic
+    through the two ends and the point dropped last where that interpolant
+    is monotone over the bracket, else it is the midpoint (Chandrupatla,
+    Adv. Eng. Software 28 (1997) 145-149).  Every point stays at least half
+    the tolerance inside the bracket, so once the newest end lies within
+    half the tolerance of the root the next step closes the bracket from
+    the far side.  An edge leaves the batch once its bracket is at most
+    :func:`_root_tol` wide, with the edge's ``cap``, or it hits an exact
+    zero; returns the endpoint with the smaller |f| of each bracket.
+    Raises BracketError if any bracket is still open after ``_MAX_REFINE``
+    steps.
+    """
+    # x1 is the newest bracket end, x2 the other, x3 the end dropped last
+    x1, f1, x2, f2 = (np.array(v, dtype=float) for v in (a, fa, b, fb))
+    x3, f3 = x2.copy(), f2.copy()
+    cap = np.broadcast_to(np.asarray(cap, dtype=float), x1.shape)
+    guess = np.broadcast_to(np.asarray(guess, dtype=float), x1.shape)
+    t = np.where(np.isnan(guess), 0.5, (guess - x1) / (x2 - x1))  # next point x1 + t (x2 - x1)
+    for step in range(_MAX_REFINE + 1):
+        first = np.abs(f1) <= np.abs(f2)
+        xm, fm = np.where(first, x1, x2), np.where(first, f1, f2)
+        width = np.abs(x2 - x1)
+        tol = _root_tol(xm, cap)
+        live = np.flatnonzero((width > tol) & (fm != 0.0))
+        if live.size == 0:
+            return xm
+        if step == _MAX_REFINE:
+            i = int(live[0])
+            raise BracketError(f"bracket [{x1[i]!r}, {x2[i]!r}] still open after {_MAX_REFINE} refinement steps")
+        lx1, lf1, lx2, lf2 = x1[live], f1[live], x2[live], f2[live]
+        margin = 0.5 * tol[live] / width[live]
+        xt = lx1 + np.clip(t[live], margin, 1.0 - margin) * (lx2 - lx1)
+        ft = np.asarray(fn(xt, live), dtype=float)
+        same = np.sign(ft) == np.sign(lf1)
+        x3[live], f3[live] = np.where(same, lx1, lx2), np.where(same, lf1, lf2)
+        x2[live], f2[live] = np.where(same, lx2, lx1), np.where(same, lf2, lf1)
+        x1[live], f1[live] = xt, ft
+        nx1, nf1, nx2, nf2, nx3, nf3 = (v[live] for v in (x1, f1, x2, f2, x3, f3))
+        # the inverse quadratic is monotone over the bracket iff phi^2 < xi
+        # and (1 - phi)^2 < 1 - xi, with xi and phi where x1 and f1 sit
+        # between x2 and x3 and between f2 and f3
+        xi = (nx1 - nx2) / (nx3 - nx2)
+        phi = (nf1 - nf2) / (nf3 - nf2)
+        alpha = (nx3 - nx1) / (nx2 - nx1)
+        iqi = nf1 / (nf1 - nf2) * nf3 / (nf3 - nf2) - alpha * nf1 / (nf3 - nf1) * nf2 / (nf2 - nf3)
+        use = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(iqi)
+        t[live] = np.where(use, iqi, 0.5)
+
+
 def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | None = None) -> BandEdges:
     """Band edges as roots of D = trace(lambda)^2 - 4, in double precision.
 
@@ -669,15 +750,17 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     starts from its parabola root c -+ sqrt(P / k).  Without ``cfg`` the
     solve runs at the count :func:`_chosen_propagator` picks, and again at
     2048 unless :func:`_narrow_gaps_hold`.  A failed Wronskian witness
-    restarts a solve at twice the steps, up to ``_MAX_STEPS`` and
-    ``_MAX_STEP_RETRIES`` times; ``resolution`` is the one step count used.
+    restarts a solve at twice the steps, up to ``_MAX_STEPS`` and to
+    ``_MAX_STEP_RETRIES`` doublings of ``cfg.steps``, or without ``cfg`` of
+    2048, so a chosen count gives up no later than the 2048-step solve;
+    ``resolution`` is the one step count used.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     q0 = q.without_mean()
+    last = min((cfg or DiscriminantConfig()).steps << _MAX_STEP_RETRIES, _MAX_STEPS)
 
     def solve(prop: _Propagator, first=None) -> BandEdges:
-        last = min(prop.steps << _MAX_STEP_RETRIES, _MAX_STEPS)
         while True:
             try:
                 lambda0, pairs = _solve_discriminant(prop, n_max, range(n_max), first)
@@ -697,6 +780,7 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     return edges
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a zero slope fails its centre
 def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | None]:
     """The propagator at the first candidate count whose error estimate passes, and its probe sweep.
 
@@ -704,7 +788,10 @@ def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | 
     probe points and the band centres +- 1e-4 of their free band width.  Its
     trace error at each centre, |t_s - t_{s/2}| / 15, over the centred
     slope and times ``_RICHARDSON_SAFETY``, must lie within :func:`_edge_tol`.
-    A failed witness passes a candidate over; failing all, ``_DEFAULT_STEPS``.
+    The estimate falls 16-fold per doubling (15.5-16.1 on the tests'
+    potentials), so once it shows that the last candidate cannot pass, none
+    is tried further.  A failed witness passes a candidate over; failing
+    all, ``_DEFAULT_STEPS``.
     """
     x = _probe_points(q0, n_max)
     centres = x[1:]
@@ -725,8 +812,12 @@ def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | 
             continue
         t, below, above = np.split(got[0][1:], 3)
         slope = np.abs(above - below) / (2.0 * dx)
-        if prev is not None and np.all(_RICHARDSON_SAFETY / 15.0 * np.abs(t - prev[1]) <= tol * slope):
-            return prop, tuple(v[: n_max + 2] for v in got)
+        if prev is not None:
+            excess = np.max(_RICHARDSON_SAFETY / 15.0 * np.abs(t - prev[1]) / (tol * slope))
+            if excess <= 1.0:
+                return prop, tuple(v[: n_max + 2] for v in got)
+            if excess > (_STEP_CANDIDATES[-1] / steps) ** 4:
+                break
         prev = steps, t
     return _Propagator(q0, _DEFAULT_STEPS), None
 
@@ -744,14 +835,14 @@ def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float) -> bool:
     if not narrow:
         return True
     try:
-        _, pairs = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow, lambda0=False)
+        _, pairs = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow)
     except NumericalError:
         return False
     return all(abs((pairs[n][1] - pairs[n][0]) - gaps[n]) < gaps[n] for n in narrow)
 
 
-def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, lambda0=True) -> tuple[float, dict]:
-    """lambda_0 (NaN without ``lambda0``) and the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps.
+def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tuple[float, dict]:
+    """lambda_0 and the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps.
 
     ``first`` is the probe sweep when already taken.
     """
@@ -813,9 +904,9 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, lambda0
 
     # sign-change brackets of D: lambda_0, then both edges of every open gap,
     # their ends taken from the samples
-    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))] if lambda0 else []
-    caps = [math.inf] * len(ends)
-    guesses = [math.nan] * len(ends)
+    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))]
+    caps = [math.inf]
+    guesses = [math.nan]
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
@@ -832,15 +923,14 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, lambda0
             caps.append(cap)
             guesses.append(c + (2 * side - 1) * half)
     # every bracket changes sign: D > 0 left of the spectrum and D < 0 at the probes
-    a, fa, b, fb = np.array(ends, dtype=float).reshape(-1, 4).T
+    a, fa, b, fb = (np.array(col) for col in zip(*ends))
     roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
 
     pairs = {n: (x, x) for n, x in collapsed_at.items()}
     # two roots per open gap, after lambda_0's, bracketed on either side of its best sample: lo <= hi
-    gap_roots = roots[1:] if lambda0 else roots
     for j, n in enumerate(sorted(open_gaps)):
-        pairs[n] = (float(gap_roots[2 * j]), float(gap_roots[2 * j + 1]))
-    return (float(roots[0]) if lambda0 else math.nan), pairs
+        pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
+    return float(roots[0]), pairs
 
 
 # ----------------------------------------------------------------------

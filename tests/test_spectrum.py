@@ -757,7 +757,7 @@ def test_discriminant_evaluation_budget(monkeypatch):
     # chooses, 1024 and 512, they take 1119 in 36, the probe sweep with the
     # estimate's slope points.  Both potentials are even, so each sweep
     # integrates half its steps: with the estimate's sweeps and the narrow
-    # gap's check at half the steps, 387k step x lambda work in all, where
+    # gap's check at half the steps, 389k step x lambda work in all, where
     # 2048 steps took 1043 x 1024 ~ 1.07M and full-period sweeps 2.13M
     sweeps, chunks = _count_sweeps(monkeypatch)
     own = []
@@ -976,6 +976,26 @@ def test_estimate_passes_over_witness_failures(monkeypatch):
     with pytest.raises(IntegrationError, match="Wronskian.*steps=8192$"):
         band_edges_discriminant(ZERO, 2)
     assert [s for s, _ in sweeps] == [128, 256, 256, 512, 512, 1024, 2048, 4096, 8192]
+
+
+@pytest.mark.parametrize("q, n_max, steps, cured", [(mathieu(0.1), 3, 256, 2048), (mathieu(0.5), 8, 1024, 8192)])
+def test_chosen_count_restarts_as_far_as_2048s_solve(monkeypatch, q, n_max, steps, cured):
+    # a witness that fails below ``cured`` steps on every sweep after the
+    # probes: the estimate and the chosen count's probe sweep pass, and the
+    # restarts from the chosen count go on to where the 2048-step solve's
+    # stop, so the solve ends at ``cured`` with the 2048-step solve's edges
+    delta = _Propagator.delta
+
+    def failing(self, lams, count=False, witness=True):
+        if witness and not count and self.steps < cured:
+            raise spectrum._WitnessError(f"failed at steps={self.steps}")
+        return delta(self, lams, count, witness)
+
+    assert _chosen_propagator(q.without_mean(), n_max)[0].steps == steps
+    monkeypatch.setattr(_Propagator, "delta", failing)
+    edges = band_edges_discriminant(q, n_max)
+    assert edges.resolution == cured
+    assert edges == band_edges_discriminant(q, n_max, DiscriminantConfig(steps=2048))
 
 
 def test_mathieu_collapse_flags_at_n12():

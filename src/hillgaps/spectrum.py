@@ -274,19 +274,15 @@ def band_edges_galerkin(q: Potential, n_max: int, cfg: GalerkinConfig = Galerkin
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
 
-def _step_terms(qa: np.ndarray, qb: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """h qbar and the commutator term d = sqrt3/12 h^2 (q_a - q_b) of each step."""
-    return h * (0.5 * (qa + qb)), (math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
-
-
 def _step_deviations(
-    qa: np.ndarray, qb: np.ndarray, h, lams: np.ndarray, lam_osc: float, out: np.ndarray, work: np.ndarray
+    hq: np.ndarray, d: np.ndarray, h, lams: np.ndarray, lam_osc: float, out: np.ndarray, work: np.ndarray
 ):
     """E = M - I of the propagator M of each step, into ``out`` as E11, E12, E21, E22.
 
-    ``qa``/``qb`` hold q at the two Gauss points of each step.  With their
-    mean qbar, the commutator term d = sqrt3/12 h^2 (q_a - q_b), wbar =
-    qbar - lambda and mu^2 = d^2 + h^2 wbar, M = [[c + s d, s h],
+    ``hq``/``d`` hold h qbar and the commutator term d = sqrt3/12 h^2 (q_a
+    - q_b) of each step, with q_a, q_b at its two Gauss points and qbar
+    their mean.  With wbar = qbar - lambda and mu^2 = d^2 + h^2 wbar, M =
+    [[c + s d, s h],
     [s h wbar, c - s d]] where c = cos m, s = sin(m)/m (mu^2 < 0) or
     c = cosh m, s = sinh(m)/m.  In the half angle x = m/2, c - 1 =
     -2 sin^2 x (or 2 sinh^2 x) and s = sin x cos x / x, so each deviation,
@@ -302,7 +298,6 @@ def _step_deviations(
     bits in any batch.  ``work`` holds three arrays of the shape of one
     entry for the intermediates.
     """
-    hq, d = _step_terms(qa, qb, h)
     x, sn, cs = work
     # x^2 = mu^2 / 4, signed
     np.subtract((0.25 * (d * d + h * hq))[:, None], (0.25 * h * h) * lams, out=x)
@@ -410,10 +405,11 @@ class _Propagator:
     (Magnus) average of the coefficient matrix, so every step propagator
     has unit determinant by construction: the scheme cannot leak
     amplitude, which is what keeps trace values honest near band edges
-    where the roots of D = trace^2 - 4 live.  The step count is fixed, and
-    the potential sampled at the two Gauss points of every step, once at
-    construction, along with ``lam_osc``, the lambda above which every
-    step oscillates; calls batch an array of spectral parameters through it.
+    where the roots of D = trace^2 - 4 live.  The step count is fixed.  At
+    construction q is sampled at the two Gauss points of each step a sweep
+    multiplies (the first half period when it folds, below), and over those
+    steps alone ``lam_osc``, the lambda above which every one oscillates;
+    calls batch an array of spectral parameters through it.
 
     A sweep multiplies the step propagators as a tree, not one step after
     another.  The steps split into aligned power-of-two runs, at most
@@ -440,7 +436,8 @@ class _Propagator:
     part would break the reflection, and an odd step count has a middle
     step, so either sweeps the full period.
 
-    With ``count`` a sweep carries next to E the lifted Pruefer angle
+    With ``count`` a sweep carries next to E, for its leading ``count``
+    points, the lifted Pruefer angle
     atan2(u, u') of (u, u') = (I + E) e2, which crosses each multiple of pi
     upward at a zero of u (Magnus and Winkler, ch. 2; Johnson and Moser,
     Comm. Math. Phys. 84, 1982).  A step of half angle x turns e2 by [pi j,
@@ -474,22 +471,21 @@ class _Propagator:
                 "the integrator grid would alias the potential"
             )
         self.q = q
-        self.even = all(v.imag == 0.0 for _, v in q.coeffs)
         self.steps = steps
+        self.fold = steps % 2 == 0 and all(v.imag == 0.0 for _, v in q.coeffs)
         h = 1.0 / steps
-        base = np.arange(steps) * h
+        base = np.arange(steps // 2 if self.fold else steps) * h
         with np.errstate(all="ignore"):  # an overflowing q shows as a non-finite trace in delta
-            self.qa = np.asarray(q.evaluate(base + (0.5 - _GAUSS_OFFSET) * h), dtype=float)
-            self.qb = np.asarray(q.evaluate(base + (0.5 + _GAUSS_OFFSET) * h), dtype=float)
-            # above it every step oscillates (see _step_deviations); NaN if q overflows
-            hq, d = _step_terms(self.qa, self.qb, h)
-            self.lam_osc = float(np.max((d * d + h * hq) / (h * h)))
+            qa, qb = (q.evaluate(base + (0.5 + g) * h) for g in (-_GAUSS_OFFSET, _GAUSS_OFFSET))
+            self.hq, self.d = h * (0.5 * (qa + qb)), (math.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+            # above it every swept step oscillates (see _step_deviations); NaN if q overflows
+            self.lam_osc = float(np.max((self.d * self.d + h * self.hq) / (h * h)))
         # the sweep buffers, kept across sweeps: arrays this large come fresh
         # from mmap unless malloc's threshold happens to lie above them, and
         # then every sweep page-faults them in again
         self._space = np.empty(0)
 
-    def _sweep(self, lams: np.ndarray, count: bool = False):
+    def _sweep(self, lams: np.ndarray, count: int):
         nl = lams.size
         block = 1 << max(0, (_BLOCK_ELEMS // nl).bit_length() - 1)  # a power of two
         half = max(1, block // 2)
@@ -503,8 +499,6 @@ class _Propagator:
         tmp = space[4 * (big + small) : 4 * big + 7 * small].reshape(3, half, nl)
         work = space[4 * big + 7 * small : 7 * (big + small)].reshape(3, block, nl)
         h = 1.0 / self.steps
-        fold = self.even and self.steps % 2 == 0
-        swept = self.steps // 2 if fold else self.steps
         stack: list = []  # finished runs (length, (E, angle)) in step order; lengths strictly decrease
         free: list = []  # spent run arrays, reused so that large batches do not page-fault
 
@@ -515,21 +509,20 @@ class _Propagator:
             out = take()
             _combine(later[0], earlier[0], out, tmp[:, 0])
             free.extend((later[0], earlier[0]))
-            return out, count and _combine_angles(later[0], out, later[1], earlier[1])
+            return out, count and _combine_angles(later[0][:, :count], out[:, :count], later[1], earlier[1])
 
         i0 = 0
-        while i0 < swept:
+        while i0 < self.hq.size:
             # the largest power-of-two chunk that fits, at most a block; it is
             # aligned, so the runs are the binary decomposition of the steps swept
-            n = min(block, 1 << ((swept - i0).bit_length() - 1))
+            n = min(block, 1 << ((self.hq.size - i0).bit_length() - 1))
             at = i0 + _bit_reversed(n)
-            e = bufs[0]
-            _step_deviations(self.qa[at], self.qb[at], h, lams, self.lam_osc, e[:, :n], work[:, :n])
+            e, hq, d = bufs[0], self.hq[at], self.d[at]
+            _step_deviations(hq, d, h, lams, self.lam_osc, e[:, :n], work[:, :n])
             if count:  # each step's angle, taken nearest the centre of [pi j, pi (j + 1)) (see above)
-                hq, d = _step_terms(self.qa[at], self.qb[at], h)
-                th = np.arctan2(e[1, :n], 1.0 + e[3, :n])
-                if (h * h) * lams.max() >= np.min(d * d + h * hq) + np.pi**2:  # some step turns past pi
-                    j = np.floor(np.sqrt(np.maximum((h * h) * lams - (d * d + h * hq)[:, None], 0.0)) / np.pi)
+                th, mu0 = np.arctan2(e[1, :n, :count], 1.0 + e[3, :n, :count]), d * d + h * hq
+                if (h * h) * lams[:count].max() >= np.min(mu0) + np.pi**2:  # some step turns past pi
+                    j = np.floor(np.sqrt(np.maximum((h * h) * lams[:count] - mu0[:, None], 0.0)) / np.pi)
                     th += 2.0 * np.pi * np.round((np.pi * (j + 0.5) - th) / (2.0 * np.pi))
             i0 += n
             length, side = n, 0
@@ -538,7 +531,7 @@ class _Propagator:
                 side = 1 - side
                 _combine(e[:, n : 2 * n], e[:, :n], bufs[side][:, :n], tmp[:, :n])
                 if count:
-                    th = _combine_angles(e[:, n : 2 * n], bufs[side][:, :n], th[n : 2 * n], th[:n])
+                    th = _combine_angles(e[:, n : 2 * n, :count], bufs[side][:, :n, :count], th[n : 2 * n], th[:n])
                 e = bufs[side]
             run = (take(), count and th[0])
             run[0][...] = e[:, 0]
@@ -550,7 +543,7 @@ class _Propagator:
             run = merge(run, stack.pop()[1])
         (e11, e12, e21, e22), angle = run
         wronskian = (1.0 + e11) * (1.0 + e22) - e12 * e21
-        if fold:  # run is the half period A = I + E; M = R A^-1 R A with R = diag(1, -1)
+        if self.fold:  # run is the half period A = I + E; M = R A^-1 R A with R = diag(1, -1)
             b, c = e12, e21
             e12 = 2.0 * b * (1.0 + e22)
             e21 = 2.0 * (1.0 + e11) * c
@@ -561,20 +554,22 @@ class _Propagator:
         omega = np.sqrt(1.0 + np.abs(lams))
         scaled = np.abs(split) + 2.0 * (omega * np.abs(e12) + np.abs(e21) / omega)
         bound = _D_ROUNDING * (scaled * (1.0 + scaled) + _D_ROUNDING)
-        turns = count and np.floor(angle / (0.5 * np.pi if fold else np.pi))  # the Dirichlet zero count
-        position = count and 2.0 * turns + np.where(disc < 0.0, 0.0, np.where(delta * (-1.0) ** turns > 0.0, -1.0, 1.0))
+        turns = count and np.floor(angle / (0.5 * np.pi if self.fold else np.pi))  # the Dirichlet zero count
+        sign = np.where(delta[:count] * (-1.0) ** turns > 0.0, -1.0, 1.0)
+        position = count and 2.0 * turns + np.where(disc[:count] < 0.0, 0.0, sign)
         return delta, disc, bound, wronskian, position
 
     @np.errstate(all="ignore")  # overflow shows as a non-finite trace, reported below
-    def delta(self, lams, count: bool = False, witness: bool = True) -> tuple[np.ndarray, ...] | None:
+    def delta(self, lams, count: bool | int = False, witness: bool = True) -> tuple[np.ndarray, ...] | None:
         """Trace, D = trace^2 - 4 and D's rounding bound at each of ``lams``.
 
         With ``count`` also the spectral position P = 2 N + s from the Dirichlet zero count N, with s = 0 where
         D < 0, else -1 where sign trace = (-1)^N and +1 where not: 2 m across band m, 2 n - 1 across gap n.
+        True counts every point, an int the leading ``count``: a point's P, trace, D and B keep their bits.
         A failed witness raises ``_WitnessError``, or with ``witness`` False returns None.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        delta, disc, bound, wronskian, position = self._sweep(lams, count)
+        delta, disc, bound, wronskian, position = self._sweep(lams, lams.size if count is True else int(count))
         if not all(np.isfinite(v).all() for v in (delta, disc, wronskian)):
             raise IntegrationError(f"non-finite trace or Wronskian at steps={self.steps}: the solution overflows")
         drift = float(np.max(np.abs(wronskian - 1.0)))
@@ -760,23 +755,23 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     q0 = q.without_mean()
     last = min((cfg or DiscriminantConfig()).steps << _MAX_STEP_RETRIES, _MAX_STEPS)
 
-    def solve(prop: _Propagator, first=None) -> BandEdges:
+    def solve(prop: _Propagator, first=None) -> tuple[BandEdges, dict]:
         while True:
             try:
-                lambda0, pairs = _solve_discriminant(prop, n_max, range(n_max), first)
+                lambda0, pairs, samples = _solve_discriminant(prop, n_max, range(n_max), first)
                 break
             except _WitnessError:
                 if prop.steps >= last:
                     raise
                 prop, first = _Propagator(q0, 2 * prop.steps), None
         shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
-        return BandEdges(lambda0=lambda0 + q.mean, pairs=shifted, method="discriminant", resolution=prop.steps)
+        return BandEdges(lambda0 + q.mean, shifted, "discriminant", prop.steps), samples
 
     if cfg is not None:
-        return solve(_Propagator(q0, cfg.steps))
-    edges = solve(*_chosen_propagator(q0, n_max))
-    if edges.resolution < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean):
-        edges = solve(_Propagator(q0, _DEFAULT_STEPS))
+        return solve(_Propagator(q0, cfg.steps))[0]
+    edges, samples = solve(*_chosen_propagator(q0, n_max))
+    if edges.resolution < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean, samples):
+        edges = solve(_Propagator(q0, _DEFAULT_STEPS))[0]
     return edges
 
 
@@ -806,7 +801,7 @@ def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | 
             half = _Propagator(q0, steps // 2).delta(centres, witness=False)
             prev = None if half is None else (steps // 2, half[0])
         prop = _Propagator(q0, steps)
-        got = prop.delta(points, count=True, witness=False)
+        got = prop.delta(points, count=n_max + 2, witness=False)
         if got is None:
             prev = None
             continue
@@ -822,29 +817,33 @@ def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | 
     return _Propagator(q0, _DEFAULT_STEPS), None
 
 
-def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float) -> bool:
+def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float, samples: dict) -> bool:
     """Whether each open gap of ``edges`` narrower than :func:`_edge_tol` keeps its width at half the steps.
 
     Truncation can open a closed gap, 16-fold wider per halving (``lame(1,
     2)`` gap 2: 9.4e-12 at 256 steps, 5.8e-13 at 512, closed from 1024);
     a gap of the potential keeps its width, here within a factor of two.
-    A failed sweep holds nothing.  ``edges`` carry ``mean``.
+    Each gap's half-step scan also takes its final ``samples`` of the solve
+    of ``edges``, next to the hump its jumps would find again.  A failed
+    sweep holds nothing.  ``edges`` carry ``mean``, ``samples`` do not.
     """
     gaps = edges.gaps()
     narrow = [n for n, (lo, hi) in enumerate(edges.pairs) if 0.0 < gaps[n] <= _edge_tol(hi - mean)]
     if not narrow:
         return True
     try:
-        _, pairs = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow)
+        seeds = {n: samples[n] for n in narrow}
+        _, pairs, _ = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow, seeds=seeds)
     except NumericalError:
         return False
     return all(abs((pairs[n][1] - pairs[n][0]) - gaps[n]) < gaps[n] for n in narrow)
 
 
-def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tuple[float, dict]:
-    """lambda_0 and the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps.
+def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, seeds=None) -> tuple[float, dict, dict]:
+    """lambda_0, the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps and each gap's final samples.
 
-    ``first`` is the probe sweep when already taken.
+    ``first`` is the probe sweep when already taken.  The scan of a gap in
+    ``seeds`` also takes its seeds that lie strictly between its probes.
     """
     px, pd, pb = _band_probes(prop, n_max, first)
     probes = px[1:]
@@ -856,12 +855,15 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tupl
     def add_samples(points: dict) -> None:
         """Evaluate the new points of every gap in one sweep and merge them into its samples."""
         _, d, b = prop.delta(np.concatenate(list(points.values())))
-        cuts = np.cumsum([x.size for x in points.values()])[:-1]
+        cuts = np.cumsum([len(x) for x in points.values()])[:-1]
         for (n, x), dn, bn in zip(points.items(), np.split(d, cuts), np.split(b, cuts)):
             order = np.argsort(np.concatenate((samples[n][0], x)))
             samples[n] = tuple(np.concatenate(pair)[order] for pair in zip(samples[n], (x, dn, bn)))
 
-    add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in gaps})
+    scan = {n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in gaps}
+    for n, x in (seeds or {}).items():
+        scan[n] = np.union1d(scan[n], x[(x > probes[n]) & (x < probes[n + 1])])
+    add_samples(scan)
     open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
     bisected: set[int] = set()
@@ -883,9 +885,10 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tupl
                 else:
                     w = spacing / 4.0
                 w = min(w, 0.5 * spacing)
-                new = np.unique(np.clip([c - w, c, c + w], x[i - 1], x[i + 1]))
-                new = new[~np.isin(new, x)]
-                if jump < _MAX_JUMPS and new.size:
+                # x is sorted, so only its samples i - 1, i and i + 1 can lie in [x[i - 1], x[i + 1]]
+                lo, hi = float(x[i - 1]), float(x[i + 1])
+                new = sorted({min(max(v, lo), hi) for v in (c - w, c, c + w)} - {lo, float(x[i]), hi})
+                if jump < _MAX_JUMPS and new:
                     jumps[n] = new
                     continue
                 c = float(x[best])  # the best sample stands as the double root
@@ -903,10 +906,8 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tupl
         pending = list(jumps)
 
     # sign-change brackets of D: lambda_0, then both edges of every open gap,
-    # their ends taken from the samples
-    ends = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]))]
-    caps = [math.inf]
-    guesses = [math.nan]
+    # their ends taken from the samples, with each edge's cap and first guess
+    brackets = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]), math.inf, math.nan)]
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
@@ -918,19 +919,17 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None) -> tupl
             lo -= 1
         while hi < x.size - 1 and d[hi] > 0.0:
             hi += 1
-        for side, j in enumerate((lo, hi - 1)):
-            ends.append((float(x[j]), float(d[j]), float(x[j + 1]), float(d[j + 1])))
-            caps.append(cap)
-            guesses.append(c + (2 * side - 1) * half)
+        for j, sign in ((lo, -1.0), (hi - 1, 1.0)):
+            brackets.append((float(x[j]), float(d[j]), float(x[j + 1]), float(d[j + 1]), cap, c + sign * half))
     # every bracket changes sign: D > 0 left of the spectrum and D < 0 at the probes
-    a, fa, b, fb = (np.array(col) for col in zip(*ends))
-    roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, np.array(caps), np.array(guesses))
+    a, fa, b, fb, caps, guesses = (np.array(col) for col in zip(*brackets))
+    roots = _refine_roots(lambda x, idx: prop.delta(x)[1], a, fa, b, fb, caps, guesses)
 
     pairs = {n: (x, x) for n, x in collapsed_at.items()}
     # two roots per open gap, after lambda_0's, bracketed on either side of its best sample: lo <= hi
     for j, n in enumerate(sorted(open_gaps)):
         pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
-    return float(roots[0]), pairs
+    return float(roots[0]), pairs, {n: samples[n][0] for n in gaps}
 
 
 # ----------------------------------------------------------------------

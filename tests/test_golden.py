@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = {
     "pd2_16": potential_to_dict(power_decay(2.0, 16)),
     "mathieu01": potential_to_dict(mathieu(0.1)),
+    "mathieu05": potential_to_dict(mathieu(0.5)),
     "w_power": {"kind": "power", "s": 1.0},
     "w_ex24": {"kind": "example_2_4", "s": 1.0},
 }
@@ -42,6 +43,11 @@ CASES = {
         "edges.json",
         ["spectrum", "--potential", "mathieu01", "--nmax", "3", "--method", "both",
          "--steps", "512", "--format", "json"],
+    ),
+    # no --steps: the solve estimates its step count, solves at 1024 and checks its narrow gap 5
+    "spectrum_both_default_json": (
+        "edges.json",
+        ["spectrum", "--potential", "mathieu05", "--nmax", "8", "--method", "both", "--format", "json"],
     ),
     "spectrum_both_csv": (
         "edges.csv",

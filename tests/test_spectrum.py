@@ -364,17 +364,29 @@ def test_sweep_batch_invariance():
             assert np.array_equal(got[at], want)
 
 
-def _sequential_monodromy(prop: _Propagator, lams: np.ndarray) -> np.ndarray:
+def _gauss_samples(q, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Test copy of the grid: q at the two Gauss points of every step of the whole period."""
+    h = 1.0 / steps
+    base = np.arange(steps) * h
+    return q.evaluate(base + (0.5 - np.sqrt(3.0) / 6.0) * h), q.evaluate(base + (0.5 + np.sqrt(3.0) / 6.0) * h)
+
+
+def _step_terms(qa, qb, h):
+    """Test copy of h qbar and the commutator term d = sqrt3/12 h^2 (q_a - q_b) of each step."""
+    return h * (0.5 * (qa + qb)), (np.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+
+
+def _sequential_monodromy(q, steps: int, lams: np.ndarray) -> np.ndarray:
     """Test oracle: the monodromy matrix multiplied in step by step, in extended precision.
 
     Each step is the exact exponential of the two-point Gauss average of the
     coefficient matrix, applied to the fundamental pair one step at a time,
-    with the potential at the Gauss points of ``prop``'s grid.  Returns
-    M11, M12, M21, M22 as ``np.longdouble`` arrays.
+    over the whole period of ``steps`` steps.  Returns M11, M12, M21, M22
+    as ``np.longdouble`` arrays.
     """
     ld = np.longdouble
-    qa, qb = (np.asarray(v, dtype=ld) for v in (prop.qa, prop.qb))
-    h = ld(1) / ld(qa.size)
+    qa, qb = (np.asarray(v, dtype=ld) for v in _gauss_samples(q, steps))
+    h = ld(1) / ld(steps)
     lams = np.asarray(lams, dtype=float).astype(ld)
     u = np.array([np.ones_like(lams), np.zeros_like(lams)])
     p = u[::-1].copy()
@@ -400,8 +412,7 @@ def _sin_cos_deviations(qa, qb, h, lams):
     ``_step_deviations`` leaves out of its tan form, so it gives the same
     bits there.  Returns E11, E12, E21, E22.
     """
-    hq = h * (0.5 * (qa + qb))
-    d = (np.sqrt(3.0) / 12.0) * h * h * (qa - qb)
+    hq, d = _step_terms(qa, qb, h)
     x = (0.25 * (d * d + h * hq))[:, None] - (0.25 * h * h) * lams
     hyp = x >= 0.0
     x = np.maximum(np.sqrt(np.abs(x)), 1e-20)
@@ -416,7 +427,7 @@ def _sin_cos_deviations(qa, qb, h, lams):
 
 def _leaf(qa, qb, h, lams, lam_osc):
     out = np.empty((4, qa.size, lams.size))
-    spectrum._step_deviations(qa, qb, h, lams, lam_osc, out, np.empty((3, qa.size, lams.size)))
+    spectrum._step_deviations(*_step_terms(qa, qb, h), h, lams, lam_osc, out, np.empty((3, qa.size, lams.size)))
     return out
 
 
@@ -444,7 +455,7 @@ def test_sin_cos_leaf_bit_identical_at_or_below_lam_osc():
     prop = _Propagator(COMPLEX, 256)
     low = np.concatenate((np.linspace(-30.0, prop.lam_osc, 30), [np.nextafter(prop.lam_osc, -np.inf)]))
     lams = np.concatenate((low, [np.nextafter(prop.lam_osc, np.inf), 50.0, 2000.0]))
-    args = prop.qa, prop.qb, 1.0 / 256
+    args = *_gauss_samples(COMPLEX, 256), 1.0 / 256
     want = _sin_cos_deviations(*args, low)
     assert np.array_equal(_leaf(*args, low, prop.lam_osc), want)
     got = _leaf(*args, lams, prop.lam_osc)
@@ -478,7 +489,7 @@ def test_sweep_matches_sequential_oracle(q, steps, top):
     # half-period fold of the even mathieu potential against it
     prop = _Propagator(q, steps)
     lams = np.linspace(-50.0, top, 924)
-    m11, _, _, m22 = _sequential_monodromy(prop, lams)
+    m11, _, _, m22 = _sequential_monodromy(q, steps, lams)
     ref = m11 + m22
     for size in (1, 17, 924):
         at = np.linspace(0, lams.size - 1, size).astype(int) if size > 1 else [lams.size // 2]
@@ -500,7 +511,7 @@ def test_disc_within_its_rounding_bound(q, n_max):
     centres, widths = zip(*(((lo + hi) / 2, max(hi - lo, 1e-9 * hi)) for lo, hi in band_edges_galerkin(q, n_max).pairs))
     lams = (np.array(centres)[:, None] + np.array(widths)[:, None] * np.linspace(-1.0, 1.0, 21)).ravel()
     prop = _Propagator(q, 2048)
-    m11, m12, m21, m22 = _sequential_monodromy(prop, lams)
+    m11, m12, m21, m22 = _sequential_monodromy(q, 2048, lams)
     exact = ((m11 - m22) ** 2 + 4 * m12 * m21).astype(float)
     _, disc, bound = prop.delta(lams)
     assert np.all(np.abs(disc - exact) <= bound)
@@ -544,9 +555,9 @@ def _count_sweeps(monkeypatch):
         sweeps.append((self.steps, lams.size))
         return sweep(self, lams, *args)
 
-    def counted_steps(qa, qb, h, lams, *args):
-        chunks.append((qa.size, lams.size))
-        return step_deviations(qa, qb, h, lams, *args)
+    def counted_steps(hq, d, h, lams, *args):
+        chunks.append((hq.size, lams.size))
+        return step_deviations(hq, d, h, lams, *args)
 
     monkeypatch.setattr(_Propagator, "_sweep", counted)
     monkeypatch.setattr(spectrum, "_step_deviations", counted_steps)
@@ -564,15 +575,20 @@ def test_narrow_gaps_refine_in_double(monkeypatch):
 
 
 def _assert_open_like_galerkin(cv, ns):
+    # within 1e-3 of Galerkin's width, or of the 4 ulp that _root_tol allows
+    # each edge: below that the width is decided by rounding
     for n in ns:
         assert not cv.discriminant.collapsed[n - 1]
         g, d = cv.galerkin.gaps()[n - 1], cv.discriminant.gaps()[n - 1]
-        assert abs(d - g) <= 1e-3 * g
+        floor = sum(4.0 * np.spacing(abs(x)) for x in cv.discriminant.pairs[n - 1])
+        assert abs(d - g) <= max(1e-3 * g, floor)
 
 
 def test_low_humps_open_in_double():
     # gaps 4 and 5 are 5.6e-8 and 4.5e-11 wide, far below where trace -+ 2
-    # resolves a hump in double precision; D = trace^2 - 4 still sees them
+    # resolves a hump in double precision; D = trace^2 - 4 still sees them.
+    # Gap 5's width at lambda ~ 247 is 4.4679e-11 at 1024 and 2048 steps and
+    # 4.4622e-11 (2 ulp less) at 512: 1e-3 of it, 4.5e-14, is below rounding
     cv = cross_validate(mathieu(0.5), 8)
     _assert_open_like_galerkin(cv, (4, 5))
     assert cv.discriminant.collapsed[:5] == (False,) * 5
@@ -817,11 +833,14 @@ def test_position_counts_bands_at_galerkin_centres(name, steps):
 @pytest.mark.parametrize("name", ["mathieu-10", "mathieu-20", "two-harmonic", "power-decay"])
 def test_folded_position_matches_full_period(name):
     # an even q folds its 2048-step sweep onto 1024 steps; 2047 steps and the
-    # unfolded 2048 sweep the whole period, and P agrees on the whole grid
+    # unfolded 2048, with q sampled over the whole period here, sweep the
+    # whole period, and P agrees on the whole grid
     lams = np.linspace(-60.0, 1600.0, 801)
     folded = _Propagator(STRONG[name], 2048).delta(lams, count=True)[3]
     unfolded = _Propagator(STRONG[name], 2048)
-    unfolded.even = False
+    assert unfolded.fold and unfolded.hq.size == 1024
+    unfolded.fold = False
+    unfolded.hq, unfolded.d = _step_terms(*_gauss_samples(STRONG[name], 2048), 1.0 / 2048)
     assert np.array_equal(folded, _Propagator(STRONG[name], 2047).delta(lams, count=True)[3])
     assert np.array_equal(folded, unfolded.delta(lams, count=True)[3])
     assert np.all(np.diff(folded) >= 0.0) and folded[0] == -1.0 and folded[-1] == 24.0
@@ -837,6 +856,19 @@ def test_position_keeps_the_sweep_bits_in_any_batch():
             assert np.array_equal(got, want)
         alone = np.concatenate([prop.delta(x, count=True)[3] for x in lams[::7]])
         assert np.array_equal(alone, counted[3][::7])
+
+
+@pytest.mark.parametrize("count", [1, 10, 56])
+def test_counting_the_leading_points_keeps_every_bit(count):
+    # a sweep that counts its leading points returns the trace, D and B of
+    # every point, and P of the points it counts, as a sweep counting all;
+    # past the tenth point steps of the 256-step grid turn past pi
+    lams = np.concatenate((np.linspace(-50.0, 2000.0, 10), (np.pi * (np.arange(47) * 15 + 400.5)) ** 2))
+    for prop in (_Propagator(mathieu(0.5), 256), _Propagator(mathieu(0.5), 1000), _Propagator(COMPLEX, 2048)):
+        every, leading = prop.delta(lams, count=True), prop.delta(lams, count=count)
+        for got, want in zip(leading[:3], every[:3]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(leading[3], every[3][:count])
 
 
 def test_position_exact_where_steps_turn_past_pi():
@@ -953,6 +985,27 @@ def test_chosen_steps_keep_edges_and_collapse_flags(family):
             ref = band_edges_discriminant(q, 8, DiscriminantConfig(steps=16384)).all_edges()
             assert np.all(np.abs(edges.all_edges() - ref) <= _edge_tol(ref))
             assert edges.collapsed == band_edges_discriminant(q, 8, DiscriminantConfig(steps=2048)).collapsed
+
+
+def test_narrow_gap_check_starts_from_the_solves_samples(monkeypatch):
+    # mathieu(0.5) n = 8 solves at 1024 steps, and its gap 5 (4.5e-11) is
+    # checked at 512.  The check scans the gap at the 1024-step solve's
+    # samples as well, so no jump is left: probes, scan and refinement take
+    # 10 sweeps, where finding the hump again took 15
+    sweeps, _ = _count_sweeps(monkeypatch)
+    check, checks = spectrum._narrow_gaps_hold, []
+
+    def recorded(*args):
+        start = len(sweeps)
+        held = check(*args)
+        checks.append((held, sweeps[start:]))
+        return held
+
+    monkeypatch.setattr(spectrum, "_narrow_gaps_hold", recorded)
+    assert band_edges_discriminant(mathieu(0.5), 8).resolution == 1024
+    [(held, swept)] = checks
+    assert held and {s for s, _ in swept} == {512}
+    assert len(swept) <= 10
 
 
 def test_gap_opened_by_truncation_sends_the_solve_to_2048():

@@ -41,8 +41,8 @@ _BLOCK_ELEMS = 1 << 14  # steps x lambdas per block of step propagators: bounds 
 _SWEEP_SPACE = 7 * (_BLOCK_ELEMS + _BLOCK_ELEMS // 2)  # floats of sweep buffers for a batch of <= _BLOCK_ELEMS / 2
 _MAX_TRUNC = 4096  # largest Galerkin truncation: a dim-8193 float64 matrix is 0.54 GB
 _MAX_STEPS = 65536  # largest integrator step count: a sweep at it is 32x one at the default
+_MIN_STEPS = 256  # fewest steps of DiscriminantConfig, and the floor of a solve's starting count
 _DEFAULT_STEPS = 2048  # steps of DiscriminantConfig, and the most a solve with none given chooses
-_STEP_CANDIDATES = (256, 512, 1024)  # counts a solve with none given tries first (see _chosen_propagator)
 # edge errors ran at up to 12.2 times the estimate on the tests' potentials, and
 # tier-1 holds power_decay(2, 32) n = 28 within 1e-11 of Galerkin, _edge_tol / 10
 _RICHARDSON_SAFETY = 16.0 * 10.0
@@ -91,8 +91,8 @@ class DiscriminantConfig:
     steps: int = _DEFAULT_STEPS
 
     def __post_init__(self):
-        if self.steps < 256:
-            raise InputError(f"steps={self.steps} below the minimum 256")
+        if self.steps < _MIN_STEPS:
+            raise InputError(f"steps={self.steps} below the minimum {_MIN_STEPS}")
         if self.steps > _MAX_STEPS:
             raise InputError(f"steps={self.steps} exceeds the largest step count {_MAX_STEPS}")
 
@@ -742,79 +742,76 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
     |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
     2 sqrt(P / k), and never below 4 ulp(lambda); an edge of an open gap
-    starts from its parabola root c -+ sqrt(P / k).  Without ``cfg`` the
-    solve runs at the count :func:`_chosen_propagator` picks, and again at
-    2048 unless :func:`_narrow_gaps_hold`.  A failed Wronskian witness
-    restarts a solve at twice the steps, up to ``_MAX_STEPS`` and to
-    ``_MAX_STEP_RETRIES`` doublings of ``cfg.steps``, or without ``cfg`` of
-    2048, so a chosen count gives up no later than the 2048-step solve;
-    ``resolution`` is the one step count used.
+    starts from its parabola root c -+ sqrt(P / k).
+
+    Every sample of the solve is taken at one step count, reported as
+    ``resolution``, and one loop decides it.  With ``cfg`` it starts at
+    ``cfg.steps``.  Without, it starts at the least power of two s >=
+    max(``_MIN_STEPS``, 8 K), so that s / 2 clears the alias guard, or at
+    ``_DEFAULT_STEPS`` if that is less, and a count below
+    ``_DEFAULT_STEPS`` is estimated before it is solved.  The trace at the
+    free band centres at s and at s / 2 (kept from the count before, when
+    that was s / 2) gives the Richardson error |t_s - t_{s/2}| / 15; over
+    the centred slope at +- 1e-4 of the free band width, and times
+    ``_RICHARDSON_SAFETY``, it must lie within :func:`_edge_tol` at every
+    centre.  The slope points share the probe sweep at s, which becomes the
+    solve's first sweep.  Each outcome sends the count on:
+
+    * a failed estimate doubles it, or sends it to ``_DEFAULT_STEPS`` at
+      once when it shows that 1024 cannot pass: the estimate falls 16-fold
+      per doubling (15.5-16.1 on the tests' potentials);
+    * a failed Wronskian witness doubles it, and one in the solve ends the
+      estimating; it raises at ``_MAX_STEP_RETRIES`` doublings of
+      ``cfg.steps``, or of ``_DEFAULT_STEPS`` without ``cfg``, or at
+      ``_MAX_STEPS``;
+    * without ``cfg``, a solve below ``_DEFAULT_STEPS`` whose narrow gaps do
+      not hold (:func:`_narrow_gaps_hold`) sends it to ``_DEFAULT_STEPS``.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     q0 = q.without_mean()
-    last = min((cfg or DiscriminantConfig()).steps << _MAX_STEP_RETRIES, _MAX_STEPS)
-
-    def solve(prop: _Propagator, first=None) -> tuple[BandEdges, dict]:
-        while True:
-            try:
-                lambda0, pairs, samples = _solve_discriminant(prop, n_max, range(n_max), first)
-                break
-            except _WitnessError:
-                if prop.steps >= last:
-                    raise
-                prop, first = _Propagator(q0, 2 * prop.steps), None
-        shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
-        return BandEdges(lambda0 + q.mean, shifted, "discriminant", prop.steps), samples
-
-    if cfg is not None:
-        return solve(_Propagator(q0, cfg.steps))[0]
-    edges, samples = solve(*_chosen_propagator(q0, n_max))
-    if edges.resolution < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean, samples):
-        edges = solve(_Propagator(q0, _DEFAULT_STEPS))[0]
-    return edges
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # a zero slope fails its centre
-def _chosen_propagator(q0: Potential, n_max: int) -> tuple[_Propagator, tuple | None]:
-    """The propagator at the first candidate count whose error estimate passes, and its probe sweep.
-
-    A candidate s >= 8 K (so that s / 2 clears the alias guard) sweeps the
-    probe points and the band centres +- 1e-4 of their free band width.  Its
-    trace error at each centre, |t_s - t_{s/2}| / 15, over the centred
-    slope and times ``_RICHARDSON_SAFETY``, must lie within :func:`_edge_tol`.
-    The estimate falls 16-fold per doubling (15.5-16.1 on the tests'
-    potentials), so once it shows that the last candidate cannot pass, none
-    is tried further.  A failed witness passes a candidate over; failing
-    all, ``_DEFAULT_STEPS``.
-    """
+    if cfg is None:
+        steps = min(1 << (max(_MIN_STEPS, 8 * q0.cutoff) - 1).bit_length(), _DEFAULT_STEPS)
+        last = _DEFAULT_STEPS << _MAX_STEP_RETRIES
+    else:
+        steps, last = cfg.steps, min(cfg.steps << _MAX_STEP_RETRIES, _MAX_STEPS)
     x = _probe_points(q0, n_max)
     centres = x[1:]
     dx = 1e-4 * np.pi**2 * (2.0 * np.arange(n_max + 1) + 1.0)
     points = np.concatenate((x, centres - dx, centres + dx))
-    tol = _edge_tol(centres)
-    prev = None  # the step count of the last sweep that passed its witness, and its trace at the centres
-    for steps in _STEP_CANDIDATES:
-        if steps < 8 * q0.cutoff:
+    estimate, t_half = cfg is None, None  # t_half: the trace at the centres at steps / 2, once taken there
+    while True:
+        prop, first = _Propagator(q0, steps), None
+        if estimate and steps < _DEFAULT_STEPS:
+            if t_half is None:
+                half = _Propagator(q0, steps // 2).delta(centres, witness=False)
+                t_half = None if half is None else half[0]
+            got = prop.delta(points, count=n_max + 2, witness=False)
+            t, excess = None, math.nan  # without both traces no estimate: the count doubles
+            if got is not None:
+                t, below, above = np.split(got[0][1:], 3)
+                if t_half is not None:
+                    with np.errstate(divide="ignore", invalid="ignore"):  # a zero slope fails its centre
+                        slope = np.abs(above - below) / (2.0 * dx)
+                        excess = np.max(_RICHARDSON_SAFETY / 15.0 * np.abs(t - t_half) / (_edge_tol(centres) * slope))
+            if not excess <= 1.0:
+                steps, t_half = _DEFAULT_STEPS if excess > (_DEFAULT_STEPS / (2 * steps)) ** 4 else 2 * steps, t
+                continue
+            first = tuple(v[: n_max + 2] for v in got)
+        try:
+            lambda0, pairs, samples = _solve_discriminant(prop, n_max, range(n_max), first)
+        except _WitnessError:
+            if steps >= last:
+                raise
+            steps, estimate = 2 * steps, False
             continue
-        if prev is None or prev[0] != steps // 2:
-            half = _Propagator(q0, steps // 2).delta(centres, witness=False)
-            prev = None if half is None else (steps // 2, half[0])
-        prop = _Propagator(q0, steps)
-        got = prop.delta(points, count=n_max + 2, witness=False)
-        if got is None:
-            prev = None
+        del prop  # its sweep buffers go before the narrow-gap check takes its own
+        shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
+        edges = BandEdges(lambda0 + q.mean, shifted, "discriminant", steps)
+        if cfg is None and steps < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean, samples):
+            steps = _DEFAULT_STEPS
             continue
-        t, below, above = np.split(got[0][1:], 3)
-        slope = np.abs(above - below) / (2.0 * dx)
-        if prev is not None:
-            excess = np.max(_RICHARDSON_SAFETY / 15.0 * np.abs(t - prev[1]) / (tol * slope))
-            if excess <= 1.0:
-                return prop, tuple(v[: n_max + 2] for v in got)
-            if excess > (_STEP_CANDIDATES[-1] / steps) ** 4:
-                break
-        prev = steps, t
-    return _Propagator(q0, _DEFAULT_STEPS), None
+        return edges
 
 
 def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float, samples: dict) -> bool:

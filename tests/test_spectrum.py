@@ -33,7 +33,6 @@ from hillgaps.spectrum import (
     _GAP_RTOL,
     _MAX_REFINE,
     _ROOT_TOL,
-    _chosen_propagator,
     _edge_tol,
     _eigenvalues,
     _bisect_position,
@@ -972,15 +971,32 @@ def test_crossval_pair_chooses_fewer_steps(q, n_max, steps):
     assert CrossValidation(band_edges_galerkin(q, n_max), edges).max_rel_discrepancy <= 1e-8
 
 
+def _chosen_steps(monkeypatch, q, n_max):
+    """The default solve of q, and the count it chose: the step count of its first full solve."""
+    counts = []
+    solve = spectrum._solve_discriminant
+
+    def recorded(prop, *args, **kwargs):
+        counts.append(prop.steps)
+        return solve(prop, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_solve_discriminant", recorded)
+        edges = band_edges_discriminant(q, n_max)
+    return counts[0], edges
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_chosen_steps_keep_edges_and_collapse_flags(family):
-    # no count above 2048 is chosen; where one below it is, the edges lie
-    # within _edge_tol of 16384 steps and every collapse flag is 2048's
-    # (power_decay(2, 32) at 512, lame(2, 2) and two of the seeded family
-    # at 1024, the rest at 2048)
+def test_chosen_steps_keep_edges_and_collapse_flags(monkeypatch, family):
+    # no count above 2048 is chosen, and the default solve is the solve at
+    # its resolution, bit for bit (one count per solve); where a count
+    # below 2048 is chosen, the edges lie within _edge_tol of 16384 steps
+    # and every collapse flag is 2048's (power_decay(2, 32) at 512,
+    # lame(2, 2) and two of the seeded family at 1024, the rest at 2048)
     for q in FAMILIES[family]:
-        assert _chosen_propagator(q.without_mean(), 8)[0].steps <= 2048
-        edges = band_edges_discriminant(q, 8)
+        chosen, edges = _chosen_steps(monkeypatch, q, 8)
+        assert chosen <= 2048
+        assert edges == band_edges_discriminant(q, 8, DiscriminantConfig(steps=edges.resolution))
         if edges.resolution < 2048:
             ref = band_edges_discriminant(q, 8, DiscriminantConfig(steps=16384)).all_edges()
             assert np.all(np.abs(edges.all_edges() - ref) <= _edge_tol(ref))
@@ -1008,14 +1024,14 @@ def test_narrow_gap_check_starts_from_the_solves_samples(monkeypatch):
     assert len(swept) <= 10
 
 
-def test_gap_opened_by_truncation_sends_the_solve_to_2048():
+def test_gap_opened_by_truncation_sends_the_solve_to_2048(monkeypatch):
     # lame(1, 2) has one open gap.  The estimate passes at 512 steps, where
     # the truncation opens gap 2 by 5.8e-13 (9.4e-12 at 256 steps): the gap
     # does not hold at half the steps, and the solve runs at 2048, where it
     # is closed
     q = lame(1, 2.0)
-    assert _chosen_propagator(q.without_mean(), 8)[0].steps == 512
-    edges = band_edges_discriminant(q, 8)
+    chosen, edges = _chosen_steps(monkeypatch, q, 8)
+    assert chosen == 512
     assert edges == band_edges_discriminant(q, 8, DiscriminantConfig(steps=2048))
     assert edges.collapsed == (False,) + (True,) * 7
 
@@ -1031,6 +1047,23 @@ def test_estimate_passes_over_witness_failures(monkeypatch):
     assert [s for s, _ in sweeps] == [128, 256, 256, 512, 512, 1024, 2048, 4096, 8192]
 
 
+@pytest.mark.parametrize(
+    "cutoff, start", [(0, 256), (32, 256), (33, 512), (64, 512), (65, 1024), (128, 1024), (129, 2048), (257, 2048)]
+)
+def test_start_count_is_the_least_power_of_two_from_8k(monkeypatch, cutoff, start):
+    # a solve starts at the least power of two >= max(256, 8 K), so that
+    # its half clears the alias guard, and estimates it first from a sweep
+    # at half of it; one that would start past 2048 starts there, and
+    # sweeps at 2048 alone
+    q = from_fourier(0.0, [(cutoff, 0.01)] if cutoff else [])
+    sweeps, _ = _count_sweeps(monkeypatch)
+    band_edges_discriminant(q, 2)
+    if start < 2048:
+        assert sweeps[0][0] == start // 2
+    else:
+        assert {s for s, _ in sweeps} == {2048}
+
+
 @pytest.mark.parametrize("q, n_max, steps, cured", [(mathieu(0.1), 3, 256, 2048), (mathieu(0.5), 8, 1024, 8192)])
 def test_chosen_count_restarts_as_far_as_2048s_solve(monkeypatch, q, n_max, steps, cured):
     # a witness that fails below ``cured`` steps on every sweep after the
@@ -1044,7 +1077,7 @@ def test_chosen_count_restarts_as_far_as_2048s_solve(monkeypatch, q, n_max, step
             raise spectrum._WitnessError(f"failed at steps={self.steps}")
         return delta(self, lams, count, witness)
 
-    assert _chosen_propagator(q.without_mean(), n_max)[0].steps == steps
+    assert _chosen_steps(monkeypatch, q, n_max)[0] == steps
     monkeypatch.setattr(_Propagator, "delta", failing)
     edges = band_edges_discriminant(q, n_max)
     assert edges.resolution == cured

@@ -191,7 +191,7 @@ def _verify_battery(q: Potential, weights, args) -> tuple[list[tuple[str, bool, 
     """Run the two asserted checks and the report-only blocks; returns the checks and the document.
 
     Each asserted check reads q and can fail on it (see ``rho_routes_allowance`` and
-    ``verify_membership_consistency``); ``--seed`` seeds only the bounded-regime report.
+    ``verify_membership_consistency``); ``--seed`` drives only the bounded-regime report.
     """
     # first, so a truncation past its bound exits 2 before any sequence is built
     edges = _edges_for(q, args, args.method)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, InputError, IntegrationError, InterlacingError, NumericalError
+from .errors import BracketError, InputError, IntegrationError, InterlacingError
 from .potential import Potential
 
 # Interlacing / gap-sign tolerances, scale-aware: tol(x) = ATOL + RTOL * |x|
@@ -725,11 +725,11 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     edge, as in the Fourier route: trace_q(lambda) = trace_{q - mean}(lambda
     - mean).  Between neighbouring band probes (:func:`_band_probes`),
     where D < 0, a 9-point scan looks for the gap; its two ends are the
-    probes, and every sample is kept.  A gap is open as soon as
-    one of its samples has D above its rounding bound B.  Until then it
-    jumps by the parabola D = P - k (lambda - c)^2 through its largest
-    sample and that sample's two neighbours: the next samples are c and
-    c +- w, with w = max(sqrt(P / k) / 2, 2 sqrt(B / k), spacing / 64), at
+    probes, and every sample is kept.  A gap is open as soon as one of its
+    samples has D above its rounding bound B.  Until then it jumps by the
+    parabola D = P - k (lambda - c)^2 through its largest sample and that
+    sample's two neighbours, the gap's hump: the next samples are c and c
+    +- w, with w = max(sqrt(P / k) / 2, 2 sqrt(B / k), spacing / 64), at
     most half the spacing.  Once the samples around the largest one are at
     most 4 sqrt(B / k) apart with none above B, the gap is below the
     rounding bound of D and reported collapsed, with identical edges at c;
@@ -737,11 +737,11 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
     sample.  Before either collapse, a largest sample below -8 B, where a
     double root peaks at least -B, shows a missed hump: bisection on the
     spectral position between the gap's probes adds a sample of the gap,
-    once, and the rules above go on.  A batched Chandrupatla
-    iteration (:func:`_refine_roots`) then refines lambda_0 and both edges
-    of every open gap as sign changes of D, each to ``_ROOT_TOL`` (1 +
-    |lambda|) but to at most ``_GAP_RTOL`` of the gap's parabola width
-    2 sqrt(P / k), and never below 4 ulp(lambda); an edge of an open gap
+    once, and the rules above go on.  A batched Chandrupatla iteration
+    (:func:`_refine_roots`) then refines lambda_0 and both edges of every
+    open gap as sign changes of D, each to ``_ROOT_TOL`` (1 + |lambda|) but
+    to at most ``_GAP_RTOL`` of the width 2 sqrt(P / k) of the parabola
+    through its hump, and never below 4 ulp(lambda); an edge of an open gap
     starts from its parabola root c -+ sqrt(P / k).
 
     Every sample of the solve is taken at one step count, reported as
@@ -764,8 +764,8 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
       estimating; it raises at ``_MAX_STEP_RETRIES`` doublings of
       ``cfg.steps``, or of ``_DEFAULT_STEPS`` without ``cfg``, or at
       ``_MAX_STEPS``;
-    * without ``cfg``, a solve below ``_DEFAULT_STEPS`` whose narrow gaps do
-      not hold (:func:`_narrow_gaps_hold`) sends it to ``_DEFAULT_STEPS``.
+    * without ``cfg``, below ``_DEFAULT_STEPS``, narrow gaps that do not hold
+      at s / 2 (:func:`_narrow_gaps_hold`) send it to ``_DEFAULT_STEPS``.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -799,55 +799,55 @@ def band_edges_discriminant(q: Potential, n_max: int, cfg: DiscriminantConfig | 
                 continue
             first = tuple(v[: n_max + 2] for v in got)
         try:
-            lambda0, pairs, samples = _solve_discriminant(prop, n_max, range(n_max), first)
+            lambda0, pairs, humps = _solve_discriminant(prop, n_max, first)
         except _WitnessError:
             if steps >= last:
                 raise
             steps, estimate = 2 * steps, False
             continue
         del prop  # its sweep buffers go before the narrow-gap check takes its own
-        shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
-        edges = BandEdges(lambda0 + q.mean, shifted, "discriminant", steps)
-        if cfg is None and steps < _DEFAULT_STEPS and not _narrow_gaps_hold(q0, edges, q.mean, samples):
+        narrow = {n: humps[n] for n, (lo, hi) in pairs.items() if 0.0 < hi - lo <= _edge_tol(hi)}
+        if cfg is None and steps < _DEFAULT_STEPS and narrow and not _narrow_gaps_hold(q0, steps // 2, narrow):
             steps = _DEFAULT_STEPS
             continue
-        return edges
+        shifted = tuple((pairs[n][0] + q.mean, pairs[n][1] + q.mean) for n in range(n_max))
+        return BandEdges(lambda0 + q.mean, shifted, "discriminant", steps)
 
 
-def _narrow_gaps_hold(q0: Potential, edges: BandEdges, mean: float, samples: dict) -> bool:
-    """Whether each open gap of ``edges`` narrower than :func:`_edge_tol` keeps its width at half the steps.
+def _narrow_gaps_hold(q0: Potential, steps: int, humps: dict) -> bool:
+    """Whether the gaps of ``humps``, open but narrower than :func:`_edge_tol`, keep their width at ``steps``.
 
-    Truncation can open a closed gap, 16-fold wider per halving (``lame(1,
-    2)`` gap 2: 9.4e-12 at 256 steps, 5.8e-13 at 512, closed from 1024);
-    a gap of the potential keeps its width, here within a factor of two.
-    Each gap's half-step scan also takes its final ``samples`` of the solve
-    of ``edges``, next to the hump its jumps would find again.  A failed
-    sweep holds nothing.  ``edges`` carry ``mean``, ``samples`` do not.
+    Truncation opens closed gaps, 16-fold wider per halving (``lame(1, 2)`` gap 2: 9.4e-12 at 256 steps,
+    5.8e-13 at 512, closed from 1024), where a gap of the potential keeps its width w.  One sweep at ``steps``
+    refits each gap's parabola at its hump (:func:`_solve_discriminant`), and the gap holds iff that width w'
+    has |w' - w| < w.  A failed sweep or a fit that is not concave holds nothing.
     """
-    gaps = edges.gaps()
-    narrow = [n for n, (lo, hi) in enumerate(edges.pairs) if 0.0 < gaps[n] <= _edge_tol(hi - mean)]
-    if not narrow:
-        return True
+    x = np.concatenate([samples for samples, _ in humps.values()])
     try:
-        seeds = {n: samples[n] for n in narrow}
-        _, pairs, _ = _solve_discriminant(_Propagator(q0, edges.resolution // 2), edges.n_max, narrow, seeds=seeds)
-    except NumericalError:
+        got = _Propagator(q0, steps).delta(x, witness=False)
+    except IntegrationError:  # a non-finite sweep
         return False
-    return all(abs((pairs[n][1] - pairs[n][0]) - gaps[n]) < gaps[n] for n in narrow)
+    if got is None:  # a failed witness
+        return False
+    for i, (_, width) in zip(range(1, x.size, 3), humps.values()):
+        _, k, peak = _parabola(x, got[1], i)
+        if not (k > 0.0 and abs(2.0 * math.sqrt(max(peak, 0.0) / k) - width) < width):
+            return False
+    return True
 
 
-def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, seeds=None) -> tuple[float, dict, dict]:
-    """lambda_0, the edge pairs of ``gaps`` of ``prop.q`` at ``prop``'s steps and each gap's final samples.
+def _solve_discriminant(prop: _Propagator, n_max: int, first=None) -> tuple[float, dict, dict]:
+    """lambda_0, the edge pairs of ``prop.q`` at ``prop``'s steps, and each open gap's hump.
 
-    ``first`` is the probe sweep when already taken.  The scan of a gap in
-    ``seeds`` also takes its seeds that lie strictly between its probes.
+    ``first`` is the probe sweep when already taken.  A hump is the three samples the gap's parabola is fitted
+    through and its width 2 sqrt(P / k), NaN where they are not concave (see :func:`band_edges_discriminant`).
     """
     px, pd, pb = _band_probes(prop, n_max, first)
     probes = px[1:]
 
     # every sample of each gap in ascending order: lambda, D and its bound,
     # starting from the band probes on either side
-    samples = {n: (px[n + 1 : n + 3], pd[n + 1 : n + 3], pb[n + 1 : n + 3]) for n in gaps}
+    samples = {n: (px[n + 1 : n + 3], pd[n + 1 : n + 3], pb[n + 1 : n + 3]) for n in range(n_max)}
 
     def add_samples(points: dict) -> None:
         """Evaluate the new points of every gap in one sweep and merge them into its samples."""
@@ -857,14 +857,11 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, seeds=N
             order = np.argsort(np.concatenate((samples[n][0], x)))
             samples[n] = tuple(np.concatenate(pair)[order] for pair in zip(samples[n], (x, dn, bn)))
 
-    scan = {n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in gaps}
-    for n, x in (seeds or {}).items():
-        scan[n] = np.union1d(scan[n], x[(x > probes[n]) & (x < probes[n + 1])])
-    add_samples(scan)
+    add_samples({n: np.linspace(probes[n], probes[n + 1], _SCAN_POINTS)[1:-1] for n in range(n_max)})
     open_gaps: list[int] = []
     collapsed_at: dict[int, float] = {}
     bisected: set[int] = set()
-    pending = list(gaps)
+    pending = list(range(n_max))
     for jump in range(_MAX_JUMPS + 2):  # the last round judges the gaps bisected in the one before
         jumps, missed = {}, []
         for n in pending:
@@ -905,12 +902,15 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, seeds=N
     # sign-change brackets of D: lambda_0, then both edges of every open gap,
     # their ends taken from the samples, with each edge's cap and first guess
     brackets = [(float(px[0]), float(pd[0]), float(px[1]), float(pd[1]), math.inf, math.nan)]
+    humps = {}
     for n in sorted(open_gaps):
         x, d, _ = samples[n]
         best = int(np.argmax(d))
-        c, k, peak = _parabola(x, d, min(max(best, 1), x.size - 2))
-        cap = _GAP_RTOL * 2.0 * math.sqrt(peak / k) if k > 0.0 else math.inf
+        i = min(max(best, 1), x.size - 2)
+        c, k, peak = _parabola(x, d, i)
         half = math.sqrt(peak / k) if k > 0.0 else math.nan
+        humps[n] = (x[i - 1 : i + 2], 2.0 * half)
+        cap = _GAP_RTOL * 2.0 * half if k > 0.0 else math.inf
         lo = hi = best
         while lo > 0 and d[lo] > 0.0:
             lo -= 1
@@ -926,7 +926,7 @@ def _solve_discriminant(prop: _Propagator, n_max: int, gaps, first=None, seeds=N
     # two roots per open gap, after lambda_0's, bracketed on either side of its best sample: lo <= hi
     for j, n in enumerate(sorted(open_gaps)):
         pairs[n] = (float(roots[2 * j + 1]), float(roots[2 * j + 2]))
-    return float(roots[0]), pairs, {n: samples[n][0] for n in gaps}
+    return float(roots[0]), pairs, humps
 
 
 # ----------------------------------------------------------------------

@@ -986,16 +986,22 @@ def _chosen_steps(monkeypatch, q, n_max):
     return counts[0], edges
 
 
+# the default solve's resolution of each FAMILIES member below 2048 steps, by
+# index (strong 3 is power_decay(2, 32), lame 7 is lame(2, 2)); every other
+# member resolves at 2048, lame(1, 2) (lame 3) once its check fails at 512
+BELOW_2048 = {"strong": {3: 512}, "seeded": {1: 1024, 29: 1024}, "lame": {7: 1024}}
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_chosen_steps_keep_edges_and_collapse_flags(monkeypatch, family):
-    # no count above 2048 is chosen, and the default solve is the solve at
-    # its resolution, bit for bit (one count per solve); where a count
-    # below 2048 is chosen, the edges lie within _edge_tol of 16384 steps
-    # and every collapse flag is 2048's (power_decay(2, 32) at 512,
-    # lame(2, 2) and two of the seeded family at 1024, the rest at 2048)
-    for q in FAMILIES[family]:
+    # no count above 2048 is chosen, every resolution is the table's, and the
+    # default solve is the solve at its resolution, bit for bit (one count
+    # per solve); where a count below 2048 is chosen, the edges lie within
+    # _edge_tol of 16384 steps and every collapse flag is 2048's
+    for i, q in enumerate(FAMILIES[family]):
         chosen, edges = _chosen_steps(monkeypatch, q, 8)
         assert chosen <= 2048
+        assert edges.resolution == BELOW_2048[family].get(i, 2048)
         assert edges == band_edges_discriminant(q, 8, DiscriminantConfig(steps=edges.resolution))
         if edges.resolution < 2048:
             ref = band_edges_discriminant(q, 8, DiscriminantConfig(steps=16384)).all_edges()
@@ -1005,9 +1011,8 @@ def test_chosen_steps_keep_edges_and_collapse_flags(monkeypatch, family):
 
 def test_narrow_gap_check_starts_from_the_solves_samples(monkeypatch):
     # mathieu(0.5) n = 8 solves at 1024 steps, and its gap 5 (4.5e-11) is
-    # checked at 512.  The check scans the gap at the 1024-step solve's
-    # samples as well, so no jump is left: probes, scan and refinement take
-    # 10 sweeps, where finding the hump again took 15
+    # checked at 512: one sweep at the three samples of the 1024-step
+    # solve's parabola through the gap's hump, whose width there holds
     sweeps, _ = _count_sweeps(monkeypatch)
     check, checks = spectrum._narrow_gaps_hold, []
 
@@ -1019,9 +1024,36 @@ def test_narrow_gap_check_starts_from_the_solves_samples(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_narrow_gaps_hold", recorded)
     assert band_edges_discriminant(mathieu(0.5), 8).resolution == 1024
-    [(held, swept)] = checks
-    assert held and {s for s, _ in swept} == {512}
-    assert len(swept) <= 10
+    assert checks == [(True, [(512, 3)])]
+
+
+def _non_finite_sweep(self, lams, count):
+    nan = np.full(lams.size, np.nan)
+    return nan, nan, nan, nan, count and nan
+
+
+@pytest.mark.parametrize(
+    "target, value",
+    [("hillgaps.spectrum._WRONSKIAN_LIMIT", -1.0), ("hillgaps.spectrum._Propagator._sweep", _non_finite_sweep)],
+    ids=["witness", "non-finite"],
+)
+def test_failed_check_sweep_sends_the_solve_to_2048(monkeypatch, target, value):
+    # the check of mathieu(0.5) n = 8 (chosen 1024) holds; with its one
+    # sweep failing the witness, or not finite, it holds nothing, and the
+    # solve runs at 2048 and is the 2048-step solve
+    q, check, held = mathieu(0.5), spectrum._narrow_gaps_hold, []
+
+    def failing(*args):
+        with monkeypatch.context() as m:
+            m.setattr(target, value)
+            held.append(check(*args))
+        return held[-1]
+
+    monkeypatch.setattr(spectrum, "_narrow_gaps_hold", failing)
+    edges = band_edges_discriminant(q, 8)
+    assert held == [False]
+    assert edges.resolution == 2048
+    assert edges == band_edges_discriminant(q, 8, DiscriminantConfig(steps=2048))
 
 
 def test_gap_opened_by_truncation_sends_the_solve_to_2048(monkeypatch):
